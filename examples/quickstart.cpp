@@ -33,6 +33,6 @@ int main(int argc, char** argv) {
             << "  extra comms       " << stats.extra_successes << " ok / "
             << stats.extra_attempts << " attempts\n"
             << "  collisions seen   " << stats.rx_collisions << "\n"
-            << "  efficiency (E)    " << stats.efficiency_raw() << " kbps/mW (Eq. 4)\n";
+            << "  efficiency (E)    " << stats.efficiency_raw << " kbps/mW (Eq. 4)\n";
   return 0;
 }

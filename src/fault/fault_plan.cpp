@@ -221,23 +221,9 @@ std::pair<Duration, Duration> FaultPlan::clock_error_range(NodeId node) const {
   return {lo, hi};
 }
 
-void FaultPlan::save_state(StateWriter& writer) const {
-  writer.write_u64(loss_rng_.size());
-  for (const Rng& rng : loss_rng_) {
-    for (const std::uint64_t word : rng.state()) writer.write_u64(word);
-  }
-}
-
-void FaultPlan::restore_state(StateReader& reader) {
-  const std::uint64_t count = reader.read_u64();
-  if (count != loss_rng_.size()) {
-    throw CheckpointError("fault-plan loss-stream count mismatch on restore");
-  }
-  for (Rng& rng : loss_rng_) {
-    Rng::State words{};
-    for (std::uint64_t& word : words) word = reader.read_u64();
-    rng.set_state(words);
-  }
+void FaultPlan::visit_state(StateArchive& ar) {
+  ar.expect(loss_rng_.size(), "fault-plan loss-stream count mismatch on restore");
+  for (Rng& rng : loss_rng_) ar(rng);
 }
 
 }  // namespace aquamac

@@ -116,8 +116,7 @@ class FaultPlan {
   /// (config, node_count, horizon, seed) and is rebuilt by the resume
   /// path; only the per-receiver loss streams advance during a run, so
   /// they are the whole of the mutable state.
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
   /// Exact [min, max] of this node's drift + jitter clock-error over
   /// [0, horizon], in the same quantization the modem applies (static

@@ -8,7 +8,7 @@ namespace aquamac {
 
 std::string encode_network_state(const Network& network) {
   StateWriter writer;
-  network.save_state(writer);
+  save_state(network, writer);
   return writer.bytes();
 }
 

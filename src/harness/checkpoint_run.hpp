@@ -14,7 +14,7 @@
 namespace aquamac {
 
 /// Encodes the complete runtime state of `network` as a checkpoint
-/// payload (Network::save_state into a fresh StateWriter). Callable only
+/// payload (save_state of the Network into a fresh StateWriter). Callable only
 /// at a boundary between events — run(RunBoundaryHooks) provides those.
 [[nodiscard]] std::string encode_network_state(const Network& network);
 
@@ -48,7 +48,7 @@ struct CheckpointedRun {
 /// `config` reproduces the checkpointed prefix — same seed, deployment,
 /// hello phase and pre-checkpoint traffic behavior. Knobs that only act
 /// after ckpt.at (e.g. the Poisson traffic rate before the first traffic
-/// event) may differ; warm-started sweeps exploit exactly that.
+/// event) may differ.
 [[nodiscard]] RunStats resume_scenario_as(const Checkpoint& ckpt, const ScenarioConfig& config);
 
 /// Resumes `ckpt` using its embedded scenario text loaded over `base`.

@@ -24,66 +24,9 @@ namespace aquamac {
                                                             unsigned replications,
                                                             unsigned jobs);
 
-/// Figure-level summary of a replicated run: the mean of every RunStats
-/// metric (the stats-symmetric lint rule keeps mean_of exhaustive, so a
-/// new RunStats field cannot silently drop out of replication summaries).
-struct MeanStats {
-  double throughput_kbps{0.0};
-  double delivery_ratio{0.0};
-  double mean_power_mw{0.0};
-  double total_energy_j{0.0};
-  double bits_delivered{0.0};
-  double elapsed_s{0.0};
-  double node_count{0.0};
-
-  /// Fig. 9 metric: energy to move the workload, expressed as mean
-  /// per-node power over the Table-2 300 s reference window.
-  [[nodiscard]] double workload_power_mw() const {
-    return node_count > 0.0 ? total_energy_j / node_count / 300.0 * 1'000.0 : 0.0;
-  }
-  double overhead_bits{0.0};
-  double efficiency_raw{0.0};
-  double execution_time_s{0.0};
-  double mean_latency_s{0.0};
-  double extra_successes{0.0};
-  double rx_collisions{0.0};
-  double fairness_index{0.0};
-  double e2e_delivery_ratio{0.0};
-  double mean_hops{0.0};
-  double mean_e2e_latency_s{0.0};
-  // --- full-coverage tail (means of the remaining RunStats fields) ----
-  double traffic_duration_s{0.0};
-  double packets_offered{0.0};
-  double packets_delivered{0.0};
-  double packets_dropped{0.0};
-  double duplicate_deliveries{0.0};
-  double bits_offered{0.0};
-  double offered_load_kbps{0.0};
-  double control_bits{0.0};
-  double maintenance_bits{0.0};
-  double retransmitted_bits{0.0};
-  double piggyback_bits{0.0};
-  double total_bits_sent{0.0};
-  double handshake_attempts{0.0};
-  double handshake_successes{0.0};
-  double contention_losses{0.0};
-  double extra_attempts{0.0};
-  double e2e_originated{0.0};
-  double e2e_arrived_at_sink{0.0};
-  double e2e_forwarded{0.0};
-  double e2e_dropped_no_route{0.0};
-  double e2e_dropped_hop_limit{0.0};
-  double e2e_dropped_mac{0.0};
-  double hop_stretch{0.0};
-  double mean_per_hop_latency_s{0.0};
-  double e2e_retransmissions{0.0};
-  double e2e_failovers{0.0};
-  double e2e_dead_letter_exhausted{0.0};
-  double e2e_dead_letter_overflow{0.0};
-  double e2e_dead_letter_no_route{0.0};
-  double e2e_duplicates_suppressed{0.0};
-  double relay_queue_highwater{0.0};
-};
+/// Figure-level summary of a replicated run: the seed-mean of every
+/// RunStats field (same field list, each mean a double).
+using MeanStats = RunStatsOf<double>;
 
 [[nodiscard]] MeanStats mean_of(const std::vector<RunStats>& runs);
 

@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "harness/checkpoint_run.hpp"
 #include "stats/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -76,105 +75,6 @@ SweepResult run_sweep(const ScenarioConfig& base, std::span<const MacKind> proto
     if (!buffers.empty()) config.trace = buffers[t].get();
     const auto run_start = std::chrono::steady_clock::now();
     flat_runs[t] = run_scenario(config);
-    run_wall_s[t] = seconds_since(run_start);
-  });
-
-  if (base.trace != nullptr) merge_traces(buffers, *base.trace);
-
-  for (MacKind kind : result.protocols) {
-    result.raw[kind].assign(result.xs.size(), std::vector<RunStats>(replications));
-    result.cell_wall_s[kind].assign(result.xs.size(), 0.0);
-  }
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const MacKind kind = result.protocols[tasks[t].proto];
-    result.raw[kind][tasks[t].x][tasks[t].rep] = std::move(flat_runs[t]);
-    result.cell_wall_s[kind][tasks[t].x] += run_wall_s[t];
-  }
-  for (MacKind kind : result.protocols) {
-    auto& series = result.series[kind];
-    series.reserve(result.xs.size());
-    for (const std::vector<RunStats>& runs : result.raw[kind]) {
-      series.push_back(mean_of(runs));
-    }
-  }
-
-  result.wall_s = seconds_since(sweep_start);
-  return result;
-}
-
-SweepResult run_sweep_warm(const ScenarioConfig& base, std::span<const MacKind> protocols,
-                           std::span<const double> xs, const ConfigSetter& setter,
-                           unsigned replications) {
-  const auto sweep_start = std::chrono::steady_clock::now();
-
-  SweepResult result{};
-  result.xs.assign(xs.begin(), xs.end());
-  result.protocols.assign(protocols.begin(), protocols.end());
-  result.replications = replications;
-
-  const unsigned jobs = resolve_jobs(base.jobs);
-  result.jobs_used = jobs;
-
-  // Phase 1: one warm prefix per (protocol, seed) — run the hello /
-  // discovery phase once with the base knobs and snapshot 1 ns before
-  // traffic starts. The snapshot is x-invariant whenever the swept knob
-  // acts only after traffic start (see the header comment), which is
-  // what resume verification enforces per cell in phase 2.
-  const std::size_t warm_count = result.protocols.size() * replications;
-  std::vector<Checkpoint> warm(warm_count);
-  parallel_for(jobs, warm_count, [&](std::size_t t) {
-    ScenarioConfig config = base;
-    config.mac = result.protocols[t / replications];
-    config.seed = base.seed + (t % replications);
-    // The capture run must carry a trace iff the resumed runs do, so
-    // the payload's trace section matches; its events are discarded.
-    MemoryTrace scratch;
-    if (base.trace != nullptr) config.trace = &scratch;
-    Simulator sim{config.logger};
-    Network network{sim, config};
-    RunBoundaryHooks hooks;
-    hooks.boundaries = {network.traffic_start() - Duration::nanoseconds(1)};
-    hooks.on_boundary = [&](Time boundary) {
-      warm[t] = make_checkpoint(network, config, boundary);
-      return false;  // prefix captured; skip the traffic phase
-    };
-    static_cast<void>(network.run(hooks));
-  });
-
-  // Phase 2: the full (protocol, x, seed) cross product, each run
-  // resumed from its warm prefix. Mirrors run_sweep task for task.
-  struct Task {
-    std::size_t proto;
-    std::size_t x;
-    unsigned rep;
-  };
-  std::vector<Task> tasks;
-  tasks.reserve(result.protocols.size() * result.xs.size() * replications);
-  for (std::size_t p = 0; p < result.protocols.size(); ++p) {
-    for (std::size_t i = 0; i < result.xs.size(); ++i) {
-      for (unsigned k = 0; k < replications; ++k) tasks.push_back({p, i, k});
-    }
-  }
-
-  std::vector<std::unique_ptr<MemoryTrace>> buffers;
-  if (base.trace != nullptr) {
-    const TraceSinkFactory factory = memory_trace_factory();
-    buffers.reserve(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) buffers.push_back(factory(t));
-  }
-
-  std::vector<RunStats> flat_runs(tasks.size());
-  std::vector<double> run_wall_s(tasks.size(), 0.0);
-
-  parallel_for(jobs, tasks.size(), [&](std::size_t t) {
-    const Task& task = tasks[t];
-    ScenarioConfig config = base;
-    config.mac = result.protocols[task.proto];
-    setter(config, result.xs[task.x]);
-    config.seed = config.seed + task.rep;
-    if (!buffers.empty()) config.trace = buffers[t].get();
-    const auto run_start = std::chrono::steady_clock::now();
-    flat_runs[t] = resume_scenario_as(warm[task.proto * replications + task.rep], config);
     run_wall_s[t] = seconds_since(run_start);
   });
 

@@ -59,21 +59,6 @@ struct SweepResult {
                                     std::span<const double> xs, const ConfigSetter& setter,
                                     unsigned replications);
 
-/// run_sweep with a warm-started prefix (docs/checkpoint.md): one
-/// checkpoint per (protocol, seed) is captured 1 ns before traffic
-/// starts, and every (protocol, x, seed) run resumes from it — replayed
-/// and digest-verified, so the sweep additionally *proves* that all x
-/// cells of a (protocol, seed) pair share a byte-identical discovery
-/// prefix. Results are bit-identical to run_sweep. Requires the swept
-/// knob not to act before traffic start: Poisson traffic knobs qualify
-/// (sources draw nothing until their first event); batch-workload knobs
-/// do not (arrival staggers are drawn at construction) and fail the
-/// resume verification with a CheckpointError rather than skewing data.
-[[nodiscard]] SweepResult run_sweep_warm(const ScenarioConfig& base,
-                                         std::span<const MacKind> protocols,
-                                         std::span<const double> xs, const ConfigSetter& setter,
-                                         unsigned replications);
-
 /// Renders one metric of a sweep as a table: first column the x value,
 /// one column per protocol.
 using MetricFn = std::function<double(const MeanStats&)>;

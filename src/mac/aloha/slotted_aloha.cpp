@@ -4,23 +4,12 @@
 
 namespace aquamac {
 
-void SlottedAloha::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("s-aloha", [this](StateWriter& w) {
-    w.write_bool(awaiting_ack_);
-    w.write_u64(awaited_packet_);
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-  });
-}
-
-void SlottedAloha::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("s-aloha", [this](StateReader& r) {
-    awaiting_ack_ = r.read_bool();
-    awaited_packet_ = r.read_u64();
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
+void SlottedAloha::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("s-aloha", [this](StateArchive& a) {
+    a(awaiting_ack_, awaited_packet_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
   });
 }
 

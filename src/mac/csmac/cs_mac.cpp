@@ -6,43 +6,18 @@
 
 namespace aquamac {
 
-void CsMac::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("cs-mac", [this](StateWriter& w) {
-    w.write_u32(static_cast<std::uint32_t>(state_));
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-    write_handle(w, decide_event_);
-    w.write_bool(pending_rts_.has_value());
-    if (pending_rts_) {
-      w.write_u32(pending_rts_->src);
-      w.write_u64(pending_rts_->seq);
-      w.write_duration(pending_rts_->data_duration);
-      w.write_duration(pending_rts_->delay_to_src);
-    }
-    w.write_u32(expected_data_from_);
-    w.write_u64(expected_seq_);
-  });
+void CsMac::PendingRts::visit_state(StateArchive& ar) {
+  ar(src, seq, data_duration, delay_to_src);
 }
 
-void CsMac::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("cs-mac", [this](StateReader& r) {
-    state_ = static_cast<State>(r.read_u32());
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
-    read_handle(r, decide_event_);
-    pending_rts_.reset();
-    if (r.read_bool()) {
-      PendingRts rts{};
-      rts.src = r.read_u32();
-      rts.seq = r.read_u64();
-      rts.data_duration = r.read_duration();
-      rts.delay_to_src = r.read_duration();
-      pending_rts_ = rts;
-    }
-    expected_data_from_ = r.read_u32();
-    expected_seq_ = r.read_u64();
+void CsMac::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("cs-mac", [this](StateArchive& a) {
+    a.as<std::uint32_t>(state_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
+    a.handle(decide_event_);
+    a(pending_rts_, expected_data_from_, expected_seq_);
   });
 }
 

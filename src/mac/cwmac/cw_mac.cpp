@@ -4,25 +4,12 @@
 
 namespace aquamac {
 
-void CwMac::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("cw-mac", [this](StateWriter& w) {
-    w.write_i64(counter_);
-    w.write_bool(awaiting_ack_);
-    w.write_u64(awaited_packet_);
-    write_handle(w, tick_event_);
-    write_handle(w, timeout_event_);
-  });
-}
-
-void CwMac::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("cw-mac", [this](StateReader& r) {
-    counter_ = r.read_i64();
-    awaiting_ack_ = r.read_bool();
-    awaited_packet_ = r.read_u64();
-    read_handle(r, tick_event_);
-    read_handle(r, timeout_event_);
+void CwMac::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("cw-mac", [this](StateArchive& a) {
+    a(counter_, awaiting_ack_, awaited_packet_);
+    a.handle(tick_event_);
+    a.handle(timeout_event_);
   });
 }
 

@@ -17,8 +17,7 @@ class CwMac final : public SlottedMac {
   [[nodiscard]] std::string_view name() const override { return "CW-MAC"; }
   void start() override;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;

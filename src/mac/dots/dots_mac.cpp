@@ -4,25 +4,13 @@
 
 namespace aquamac {
 
-void DotsMac::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("dots", [this](StateWriter& w) {
-    w.write_bool(awaiting_ack_);
-    w.write_u64(awaited_packet_);
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-    schedule_.save_state(w);
-  });
-}
-
-void DotsMac::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("dots", [this](StateReader& r) {
-    awaiting_ack_ = r.read_bool();
-    awaited_packet_ = r.read_u64();
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
-    schedule_.restore_state(r);
+void DotsMac::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("dots", [this](StateArchive& a) {
+    a(awaiting_ack_, awaited_packet_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
+    a(schedule_);
   });
 }
 

@@ -25,8 +25,7 @@ class DotsMac final : public SlottedMac {
   [[nodiscard]] std::string_view name() const override { return "DOTS"; }
   void start() override;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
   [[nodiscard]] const ScheduleBook& schedule_book() const { return schedule_; }
 

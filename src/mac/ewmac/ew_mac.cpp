@@ -6,90 +6,27 @@
 
 namespace aquamac {
 
-void EwMac::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("ew-mac", [this](StateWriter& w) {
-    w.write_u32(static_cast<std::uint32_t>(state_));
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-    write_handle(w, decide_event_);
-    w.write_u64(candidates_.size());
-    for (const Candidate& candidate : candidates_) {
-      w.write_u32(candidate.src);
-      w.write_u64(candidate.seq);
-      w.write_duration(candidate.data_duration);
-      w.write_duration(candidate.delay_to_src);
-      w.write_f64(candidate.rp);
-    }
-    w.write_u32(expected_data_from_);
-    w.write_u64(expected_seq_);
-    w.write_time(neg_data_begin_);
-    w.write_time(neg_ack_slot_start_);
-    w.write_bool(extra_.has_value());
-    if (extra_) {
-      w.write_u32(extra_->j);
-      w.write_bool(extra_->j_is_receiver);
-      w.write_u64(extra_->seq);
-      w.write_duration(extra_->tau_ij);
-      w.write_duration(extra_->tau_jk);
-      w.write_duration(extra_->neg_data_duration);
-      w.write_time(extra_->ack_slot_start);
-    }
-    w.write_bool(grant_.has_value());
-    if (grant_) {
-      w.write_u32(grant_->i);
-      w.write_u64(grant_->seq);
-      w.write_time(grant_->expires);
-    }
-    write_handle(w, grant_expiry_event_);
-    schedule_.save_state(w);
-  });
+void EwMac::Candidate::visit_state(StateArchive& ar) {
+  ar(src, seq, data_duration, delay_to_src, rp);
 }
 
-void EwMac::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("ew-mac", [this](StateReader& r) {
-    state_ = static_cast<State>(r.read_u32());
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
-    read_handle(r, decide_event_);
-    candidates_.clear();
-    const std::uint64_t count = r.read_u64();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      Candidate candidate{};
-      candidate.src = r.read_u32();
-      candidate.seq = r.read_u64();
-      candidate.data_duration = r.read_duration();
-      candidate.delay_to_src = r.read_duration();
-      candidate.rp = r.read_f64();
-      candidates_.push_back(candidate);
-    }
-    expected_data_from_ = r.read_u32();
-    expected_seq_ = r.read_u64();
-    neg_data_begin_ = r.read_time();
-    neg_ack_slot_start_ = r.read_time();
-    extra_.reset();
-    if (r.read_bool()) {
-      ExtraPlan plan{};
-      plan.j = r.read_u32();
-      plan.j_is_receiver = r.read_bool();
-      plan.seq = r.read_u64();
-      plan.tau_ij = r.read_duration();
-      plan.tau_jk = r.read_duration();
-      plan.neg_data_duration = r.read_duration();
-      plan.ack_slot_start = r.read_time();
-      extra_ = plan;
-    }
-    grant_.reset();
-    if (r.read_bool()) {
-      ExtraGrant grant{};
-      grant.i = r.read_u32();
-      grant.seq = r.read_u64();
-      grant.expires = r.read_time();
-      grant_ = grant;
-    }
-    read_handle(r, grant_expiry_event_);
-    schedule_.restore_state(r);
+void EwMac::ExtraPlan::visit_state(StateArchive& ar) {
+  ar(j, j_is_receiver, seq, tau_ij, tau_jk, neg_data_duration, ack_slot_start);
+}
+
+void EwMac::ExtraGrant::visit_state(StateArchive& ar) { ar(i, seq, expires); }
+
+void EwMac::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("ew-mac", [this](StateArchive& a) {
+    a.as<std::uint32_t>(state_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
+    a.handle(decide_event_);
+    a(candidates_, expected_data_from_, expected_seq_, neg_data_begin_, neg_ack_slot_start_,
+      extra_, grant_);
+    a.handle(grant_expiry_event_);
+    a(schedule_);
   });
 }
 

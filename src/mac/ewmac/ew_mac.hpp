@@ -36,8 +36,7 @@ class EwMac final : public SlottedMac {
   /// Exposed for tests: the node's current schedule predictions.
   [[nodiscard]] const ScheduleBook& schedule_book() const { return schedule_; }
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;
@@ -108,6 +107,8 @@ class EwMac final : public SlottedMac {
     Duration data_duration;
     Duration delay_to_src;
     double rp;
+
+    void visit_state(StateArchive& ar);
   };
   std::vector<Candidate> candidates_;
   NodeId expected_data_from_{kNoNode};
@@ -126,6 +127,8 @@ class EwMac final : public SlottedMac {
     Duration tau_jk{};
     Duration neg_data_duration{};
     Time ack_slot_start{};  ///< slot start of the negotiated Ack (Eq. 5)
+
+    void visit_state(StateArchive& ar);
   };
   std::optional<ExtraPlan> extra_;
 
@@ -134,6 +137,8 @@ class EwMac final : public SlottedMac {
     NodeId i{kNoNode};
     std::uint64_t seq{0};
     Time expires{};
+
+    void visit_state(StateArchive& ar);
   };
   std::optional<ExtraGrant> grant_;
   EventHandle grant_expiry_event_{};

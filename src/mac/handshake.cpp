@@ -4,27 +4,11 @@
 
 namespace aquamac {
 
-void ScheduleBook::save_state(StateWriter& writer) const {
-  writer.write_u64(windows_.size());
-  for (const Window& window : windows_) {
-    writer.write_u32(window.neighbor);
-    writer.write_time(window.interval.begin);
-    writer.write_time(window.interval.end);
-    writer.write_u8(static_cast<std::uint8_t>(window.kind));
-  }
+void ScheduleBook::Window::visit_state(StateArchive& ar) {
+  ar(neighbor, interval);
+  ar.as<std::uint8_t>(kind);
 }
 
-void ScheduleBook::restore_state(StateReader& reader) {
-  windows_.clear();
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t k = 0; k < count; ++k) {
-    Window window{};
-    window.neighbor = reader.read_u32();
-    window.interval.begin = reader.read_time();
-    window.interval.end = reader.read_time();
-    window.kind = static_cast<BusyKind>(reader.read_u8());
-    windows_.push_back(window);
-  }
-}
+void ScheduleBook::visit_state(StateArchive& ar) { ar(windows_); }
 
 }  // namespace aquamac

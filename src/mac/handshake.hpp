@@ -18,8 +18,7 @@
 
 namespace aquamac {
 
-class StateReader;
-class StateWriter;
+class StateArchive;
 
 /// What the neighbor is predicted to be doing in the window.
 enum class BusyKind : std::uint8_t {
@@ -33,6 +32,8 @@ class ScheduleBook {
     NodeId neighbor;
     TimeInterval interval;
     BusyKind kind;
+
+    void visit_state(StateArchive& ar);
   };
 
   void add(NodeId neighbor, TimeInterval interval, BusyKind kind) {
@@ -76,8 +77,7 @@ class ScheduleBook {
 
   /// Checkpoint encoding: windows verbatim, in vector order (the order is
   /// part of the deterministic state — conflicts() scans front to back).
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   std::vector<Window> windows_;

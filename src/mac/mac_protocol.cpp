@@ -245,98 +245,18 @@ void MacProtocol::on_rx_failure(const Frame& frame, RxOutcome outcome, const RxI
 
 void MacProtocol::on_tx_done(const Frame& frame) { handle_tx_done(frame); }
 
-void MacProtocol::save_state(StateWriter& writer) const {
-  writer.section("mac-base", [this](StateWriter& w) {
-    for (const std::uint64_t word : rng_.state()) w.write_u64(word);
-    w.write_u64(queue_.size());
-    for (const Packet& packet : queue_) {
-      w.write_u64(packet.id);
-      w.write_u32(packet.dst);
-      w.write_u32(packet.bits);
-      w.write_time(packet.enqueued);
-      w.write_u32(packet.retries);
-      w.write_u32(packet.e2e.origin);
-      w.write_u32(packet.e2e.final_dst);
-      w.write_u8(packet.e2e.hop_count);
-      w.write_u64(packet.e2e.e2e_id);
-      w.write_time(packet.e2e.created_at);
-    }
-    w.write_u64(next_packet_id_);
-    // Unordered maps serialize sorted by node id (determinism wall).
-    std::vector<std::pair<NodeId, std::uint64_t>> delivered{delivered_seq_high_.begin(),
-                                                            delivered_seq_high_.end()};
-    std::sort(delivered.begin(), delivered.end());
-    w.write_u64(delivered.size());
-    for (const auto& [node, seq] : delivered) {
-      w.write_u32(node);
-      w.write_u64(seq);
-    }
-    std::vector<std::pair<NodeId, PeerHealth>> health{peer_health_.begin(),
-                                                      peer_health_.end()};
-    std::sort(health.begin(), health.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.write_u64(health.size());
-    for (const auto& [node, state] : health) {
-      w.write_u32(node);
-      w.write_u32(state.silent_failures);
-      w.write_bool(state.dead);
-    }
-    w.write_u64(health_generation_);
-    counters_.save_state(w);
+void MacProtocol::Packet::visit_state(StateArchive& ar) {
+  ar(id, dst, bits, enqueued, retries, e2e.origin, e2e.final_dst, e2e.hop_count, e2e.e2e_id,
+     e2e.created_at);
+}
+
+void MacProtocol::PeerHealth::visit_state(StateArchive& ar) { ar(silent_failures, dead); }
+
+void MacProtocol::visit_state(StateArchive& ar) {
+  ar.section("mac-base", [this](StateArchive& a) {
+    a(rng_, queue_, next_packet_id_, delivered_seq_high_, peer_health_, health_generation_,
+      counters_);
   });
-}
-
-void MacProtocol::restore_state(StateReader& reader) {
-  reader.section("mac-base", [this](StateReader& r) {
-    Rng::State words{};
-    for (std::uint64_t& word : words) word = r.read_u64();
-    rng_.set_state(words);
-    queue_.clear();
-    const std::uint64_t depth = r.read_u64();
-    for (std::uint64_t k = 0; k < depth; ++k) {
-      Packet packet{};
-      packet.id = r.read_u64();
-      packet.dst = r.read_u32();
-      packet.bits = r.read_u32();
-      packet.enqueued = r.read_time();
-      packet.retries = r.read_u32();
-      packet.e2e.origin = r.read_u32();
-      packet.e2e.final_dst = r.read_u32();
-      packet.e2e.hop_count = r.read_u8();
-      packet.e2e.e2e_id = r.read_u64();
-      packet.e2e.created_at = r.read_time();
-      queue_.push_back(packet);
-    }
-    next_packet_id_ = r.read_u64();
-    delivered_seq_high_.clear();
-    const std::uint64_t delivered = r.read_u64();
-    for (std::uint64_t k = 0; k < delivered; ++k) {
-      const NodeId node = r.read_u32();
-      delivered_seq_high_[node] = r.read_u64();
-    }
-    peer_health_.clear();
-    const std::uint64_t health = r.read_u64();
-    for (std::uint64_t k = 0; k < health; ++k) {
-      const NodeId node = r.read_u32();
-      PeerHealth state{};
-      state.silent_failures = r.read_u32();
-      state.dead = r.read_bool();
-      peer_health_[node] = state;
-    }
-    health_generation_ = r.read_u64();
-    counters_.restore_state(r);
-  });
-}
-
-void MacProtocol::write_handle(StateWriter& writer, const EventHandle& handle) {
-  writer.write_bool(!handle.is_null());
-}
-
-void MacProtocol::read_handle(StateReader& reader, const EventHandle& handle) {
-  const bool armed = reader.read_bool();
-  if (armed != !handle.is_null()) {
-    throw CheckpointError("mac restore: event-handle armed bit diverges from replayed schedule");
-  }
 }
 
 void MacProtocol::trace_mac(TraceEvent event) const {

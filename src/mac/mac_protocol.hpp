@@ -170,18 +170,15 @@ class MacProtocol : public ModemListener {
   /// Whether dead-neighbor detection currently considers `node` dead.
   [[nodiscard]] bool neighbor_dead(NodeId node) const;
 
-  /// Serializes this MAC's complete runtime state as checkpoint sections
-  /// (docs/checkpoint.md): the base writes RNG words, packet queue,
+  /// This MAC's complete runtime state as checkpoint sections
+  /// (docs/checkpoint.md): the base visits RNG words, packet queue,
   /// delivery/health bookkeeping and counters; every protocol override
   /// appends its FSM section after calling the base. Pending EventHandles
-  /// are encoded only as null/armed bits — resume replays the prefix, so
-  /// live handles are regenerated, and the bit is the invariant part.
-  virtual void save_state(StateWriter& writer) const;
-
-  /// Decodes and assigns the state written by save_state. The resume path
-  /// calls this after replaying to the checkpoint time, then re-encodes
-  /// and requires byte equality, so every field must round-trip exactly.
-  virtual void restore_state(StateReader& reader);
+  /// travel only as armed bits (StateArchive::handle) — resume replays
+  /// the prefix, so live handles are regenerated, and the bit is the
+  /// invariant part. Resume loads, re-encodes and requires byte
+  /// equality, so every field must round-trip exactly.
+  virtual void visit_state(StateArchive& ar);
 
   [[nodiscard]] NodeId id() const { return modem_.id(); }
   [[nodiscard]] MacCounters& counters() { return counters_; }
@@ -202,6 +199,8 @@ class MacProtocol : public ModemListener {
     Time enqueued;
     std::uint32_t retries{0};
     E2eHeader e2e{};
+
+    void visit_state(StateArchive& ar);
   };
 
   /// Protocol hooks (called after common bookkeeping).
@@ -255,14 +254,6 @@ class MacProtocol : public ModemListener {
   /// delivered — a retransmission after a lost Ack. Callers still Ack.
   bool deliver_data(const Frame& frame);
 
-  /// Checkpoint encoding of an EventHandle: only the armed (non-null) bit
-  /// is invariant across shard counts, so that is all a snapshot carries.
-  /// Replay re-arms the live handles before restore_state runs, so
-  /// read_handle cross-checks the stored bit against the replayed handle
-  /// and throws CheckpointError when the schedules diverged.
-  static void write_handle(StateWriter& writer, const EventHandle& handle);
-  static void read_handle(StateReader& reader, const EventHandle& handle);
-
   /// Records a MAC-level trace event, stamping `at` and `node`; the
   /// caller fills the kind-specific fields. No-op without a sink.
   void trace_mac(TraceEvent event) const;
@@ -292,6 +283,8 @@ class MacProtocol : public ModemListener {
   struct PeerHealth {
     std::uint32_t silent_failures{0};
     bool dead{false};
+
+    void visit_state(StateArchive& ar);
   };
   std::unordered_map<NodeId, PeerHealth> peer_health_;
   /// Bumped by reset_mac_state(); pending probe events compare it so a

@@ -4,25 +4,13 @@
 
 namespace aquamac {
 
-void MacaU::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("maca-u", [this](StateWriter& w) {
-    w.write_u32(static_cast<std::uint32_t>(state_));
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-    w.write_u32(expected_data_from_);
-    w.write_u64(expected_seq_);
-  });
-}
-
-void MacaU::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("maca-u", [this](StateReader& r) {
-    state_ = static_cast<State>(r.read_u32());
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
-    expected_data_from_ = r.read_u32();
-    expected_seq_ = r.read_u64();
+void MacaU::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("maca-u", [this](StateArchive& a) {
+    a.as<std::uint32_t>(state_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
+    a(expected_data_from_, expected_seq_);
   });
 }
 

@@ -23,8 +23,7 @@ class MacaU final : public SlottedMac {
   [[nodiscard]] std::string_view name() const override { return "MACA-U"; }
   void start() override;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;

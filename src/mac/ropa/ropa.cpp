@@ -4,60 +4,20 @@
 
 namespace aquamac {
 
-void Ropa::save_state(StateWriter& writer) const {
-  SlottedMac::save_state(writer);
-  writer.section("ropa", [this](StateWriter& w) {
-    w.write_u32(static_cast<std::uint32_t>(state_));
-    write_handle(w, attempt_event_);
-    write_handle(w, timeout_event_);
-    write_handle(w, decide_event_);
-    w.write_bool(pending_rts_.has_value());
-    if (pending_rts_) {
-      w.write_u32(pending_rts_->src);
-      w.write_u64(pending_rts_->seq);
-      w.write_duration(pending_rts_->data_duration);
-      w.write_duration(pending_rts_->delay_to_src);
-    }
-    w.write_u32(expected_data_from_);
-    w.write_u64(expected_seq_);
-    w.write_bool(expected_is_append_);
-    w.write_u64(appenders_.size());
-    for (const Appender& appender : appenders_) {
-      w.write_u32(appender.id);
-      w.write_u64(appender.seq);
-      w.write_duration(appender.data_duration);
-    }
-  });
+void Ropa::PendingRts::visit_state(StateArchive& ar) {
+  ar(src, seq, data_duration, delay_to_src);
 }
 
-void Ropa::restore_state(StateReader& reader) {
-  SlottedMac::restore_state(reader);
-  reader.section("ropa", [this](StateReader& r) {
-    state_ = static_cast<State>(r.read_u32());
-    read_handle(r, attempt_event_);
-    read_handle(r, timeout_event_);
-    read_handle(r, decide_event_);
-    pending_rts_.reset();
-    if (r.read_bool()) {
-      PendingRts rts{};
-      rts.src = r.read_u32();
-      rts.seq = r.read_u64();
-      rts.data_duration = r.read_duration();
-      rts.delay_to_src = r.read_duration();
-      pending_rts_ = rts;
-    }
-    expected_data_from_ = r.read_u32();
-    expected_seq_ = r.read_u64();
-    expected_is_append_ = r.read_bool();
-    appenders_.clear();
-    const std::uint64_t count = r.read_u64();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      Appender appender{};
-      appender.id = r.read_u32();
-      appender.seq = r.read_u64();
-      appender.data_duration = r.read_duration();
-      appenders_.push_back(appender);
-    }
+void Ropa::Appender::visit_state(StateArchive& ar) { ar(id, seq, data_duration); }
+
+void Ropa::visit_state(StateArchive& ar) {
+  SlottedMac::visit_state(ar);
+  ar.section("ropa", [this](StateArchive& a) {
+    a.as<std::uint32_t>(state_);
+    a.handle(attempt_event_);
+    a.handle(timeout_event_);
+    a.handle(decide_event_);
+    a(pending_rts_, expected_data_from_, expected_seq_, expected_is_append_, appenders_);
   });
 }
 

@@ -27,8 +27,7 @@ class Ropa final : public SlottedMac {
   [[nodiscard]] std::string_view name() const override { return "ROPA"; }
   void start() override;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;
@@ -75,6 +74,8 @@ class Ropa final : public SlottedMac {
     std::uint64_t seq;
     Duration data_duration;
     Duration delay_to_src;
+
+    void visit_state(StateArchive& ar);
   };
   std::optional<PendingRts> pending_rts_;
   NodeId expected_data_from_{kNoNode};
@@ -86,6 +87,8 @@ class Ropa final : public SlottedMac {
     NodeId id;
     std::uint64_t seq;
     Duration data_duration;
+
+    void visit_state(StateArchive& ar);
   };
   std::vector<Appender> appenders_;
 };

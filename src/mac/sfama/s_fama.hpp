@@ -16,8 +16,7 @@ class SFama final : public SlottedMac {
   [[nodiscard]] std::string_view name() const override { return "S-FAMA"; }
   void start() override;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;
@@ -52,6 +51,8 @@ class SFama final : public SlottedMac {
     std::uint64_t seq;
     Duration data_duration;
     Duration delay_to_src;
+
+    void visit_state(StateArchive& ar);
   };
   std::optional<PendingRts> pending_rts_;
   NodeId expected_data_from_{kNoNode};

@@ -4,14 +4,9 @@
 
 namespace aquamac {
 
-void SlottedMac::save_state(StateWriter& writer) const {
-  MacProtocol::save_state(writer);
-  writer.section("slotted", [this](StateWriter& w) { w.write_time(quiet_until_); });
-}
-
-void SlottedMac::restore_state(StateReader& reader) {
-  MacProtocol::restore_state(reader);
-  reader.section("slotted", [this](StateReader& r) { quiet_until_ = r.read_time(); });
+void SlottedMac::visit_state(StateArchive& ar) {
+  MacProtocol::visit_state(ar);
+  ar.section("slotted", [this](StateArchive& a) { a(quiet_until_); });
 }
 
 }  // namespace aquamac

@@ -15,8 +15,7 @@ class SlottedMac : public MacProtocol {
  public:
   using MacProtocol::MacProtocol;
 
-  void save_state(StateWriter& writer) const override;
-  void restore_state(StateReader& reader) override;
+  void visit_state(StateArchive& ar) override;
 
   /// |ts| = omega + tau_max (§4.1).
   [[nodiscard]] Duration slot_length() const { return omega() + config_.tau_max; }

@@ -170,54 +170,13 @@ void DvRouter::refresh_best(bool notify) {
   if (changed && notify && on_change_) on_change_();
 }
 
-namespace {
-
-void write_entry(StateWriter& writer, const DvRouter::Entry& entry) {
-  writer.write_u32(entry.seq);
-  writer.write_duration(entry.cost);
-  writer.write_u32(entry.hops);
-  writer.write_u32(entry.via);
-  writer.write_bool(entry.valid);
-  writer.write_time(entry.updated);
+void DvRouter::Entry::visit_state(StateArchive& ar) {
+  ar(seq, cost, hops, via, valid, updated);
 }
 
-DvRouter::Entry read_entry(StateReader& reader) {
-  DvRouter::Entry entry{};
-  entry.seq = reader.read_u32();
-  entry.cost = reader.read_duration();
-  entry.hops = reader.read_u32();
-  entry.via = reader.read_u32();
-  entry.valid = reader.read_bool();
-  entry.updated = reader.read_time();
-  return entry;
-}
-
-}  // namespace
-
-void DvRouter::save_state(StateWriter& writer) const {
-  writer.write_u32(own_seq_);
-  writer.write_u32(best_sink_);
-  writer.write_u64(entries_.size());
-  for (const auto& [sink, entry] : entries_) {
-    writer.write_u32(sink);
-    write_entry(writer, entry);
-  }
-  // The change-detection baseline is serialized explicitly: it equals
-  // entries_[best_sink_] only when refresh_best ran after the last entry
-  // mutation, and a resume must not depend on that invariant.
-  write_entry(writer, last_best_);
-}
-
-void DvRouter::restore_state(StateReader& reader) {
-  own_seq_ = reader.read_u32();
-  best_sink_ = reader.read_u32();
-  entries_.clear();
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const NodeId sink = reader.read_u32();
-    entries_[sink] = read_entry(reader);
-  }
-  last_best_ = read_entry(reader);
-}
+// The change-detection baseline last_best_ is serialized explicitly: it
+// equals entries_[best_sink_] only when refresh_best ran after the last
+// entry mutation, and a resume must not depend on that invariant.
+void DvRouter::visit_state(StateArchive& ar) { ar(own_seq_, best_sink_, entries_, last_best_); }
 
 }  // namespace aquamac

@@ -33,8 +33,7 @@
 
 namespace aquamac {
 
-class StateReader;
-class StateWriter;
+class StateArchive;
 
 class DvRouter {
  public:
@@ -46,6 +45,8 @@ class DvRouter {
     NodeId via{kNoNode};  ///< next hop (self for a sink's own entry)
     bool valid{false};    ///< false: invalidated, awaiting a fresher ad
     Time updated{};       ///< last adoption/refresh (staleness expiry)
+
+    void visit_state(StateArchive& ar);
   };
 
   DvRouter(NodeId self, bool is_sink);
@@ -96,8 +97,7 @@ class DvRouter {
   [[nodiscard]] bool is_sink() const { return is_sink_; }
   [[nodiscard]] const std::map<NodeId, Entry>& entries() const { return entries_; }
 
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   void install_own_entry();

@@ -53,24 +53,9 @@ void Mobility::advance(Duration dt) {
   reflect(position_.z, velocity_.z, config_.depth_m);
 }
 
-void Mobility::save_state(StateWriter& writer) const {
-  writer.write_u8(static_cast<std::uint8_t>(kind_));
-  writer.write_f64(position_.x);
-  writer.write_f64(position_.y);
-  writer.write_f64(position_.z);
-  writer.write_f64(velocity_.x);
-  writer.write_f64(velocity_.y);
-  writer.write_f64(velocity_.z);
-}
-
-void Mobility::restore_state(StateReader& reader) {
-  kind_ = static_cast<MobilityKind>(reader.read_u8());
-  position_.x = reader.read_f64();
-  position_.y = reader.read_f64();
-  position_.z = reader.read_f64();
-  velocity_.x = reader.read_f64();
-  velocity_.y = reader.read_f64();
-  velocity_.z = reader.read_f64();
+void Mobility::visit_state(StateArchive& ar) {
+  ar.as<std::uint8_t>(kind_);
+  ar(position_, velocity_);
 }
 
 }  // namespace aquamac

@@ -13,8 +13,7 @@
 
 namespace aquamac {
 
-class StateReader;
-class StateWriter;
+class StateArchive;
 
 enum class MobilityKind : std::uint8_t {
   kStatic,
@@ -50,8 +49,7 @@ class Mobility {
 
   /// Checkpoint encoding: kind, position and velocity (the config is
   /// scenario-derived and rebuilt by the resume path).
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   MobilityKind kind_{MobilityKind::kStatic};

@@ -91,49 +91,8 @@ std::size_t NeighborTable::two_hop_size() const {
   return n;
 }
 
-void NeighborTable::save_state(StateWriter& writer) const {
-  writer.write_u64(one_hop_.size());
-  for (const auto& [neighbor, entry] : one_hop_) {
-    writer.write_u32(neighbor);
-    writer.write_duration(entry.delay);
-    writer.write_time(entry.updated);
-  }
-  writer.write_u64(two_hop_.size());
-  for (const auto& [via, fars] : two_hop_) {
-    writer.write_u32(via);
-    writer.write_u64(fars.size());
-    for (const auto& [far, entry] : fars) {
-      writer.write_u32(far);
-      writer.write_duration(entry.delay);
-      writer.write_time(entry.updated);
-    }
-  }
-}
+void NeighborTable::Entry::visit_state(StateArchive& ar) { ar(delay, updated); }
 
-void NeighborTable::restore_state(StateReader& reader) {
-  one_hop_.clear();
-  const std::uint64_t one_hop = reader.read_u64();
-  for (std::uint64_t k = 0; k < one_hop; ++k) {
-    const NodeId neighbor = reader.read_u32();
-    Entry entry{};
-    entry.delay = reader.read_duration();
-    entry.updated = reader.read_time();
-    one_hop_[neighbor] = entry;
-  }
-  two_hop_.clear();
-  const std::uint64_t vias = reader.read_u64();
-  for (std::uint64_t k = 0; k < vias; ++k) {
-    const NodeId via = reader.read_u32();
-    std::map<NodeId, Entry>& fars = two_hop_[via];
-    const std::uint64_t far_count = reader.read_u64();
-    for (std::uint64_t j = 0; j < far_count; ++j) {
-      const NodeId far = reader.read_u32();
-      Entry entry{};
-      entry.delay = reader.read_duration();
-      entry.updated = reader.read_time();
-      fars[far] = entry;
-    }
-  }
-}
+void NeighborTable::visit_state(StateArchive& ar) { ar(one_hop_, two_hop_); }
 
 }  // namespace aquamac

@@ -23,6 +23,8 @@ class NeighborTable {
   struct Entry {
     Duration delay{};
     Time updated{};
+
+    void visit_state(StateArchive& ar);
   };
 
   /// Bits to encode one (id, delay) pair in a maintenance broadcast:
@@ -71,10 +73,9 @@ class NeighborTable {
     return static_cast<std::uint32_t>(one_hop_.size()) * kBitsPerEntry;
   }
 
-  /// Checkpoint encoding: both maps in their (already deterministic)
+  /// Checkpoint state: both maps in their (already deterministic)
   /// ascending-id order.
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
   // --- two-hop state (ROPA / CS-MAC only) ----------------------------
   void update_two_hop(NodeId via, NodeId far, Duration delay, Time now);

@@ -613,7 +613,6 @@ bool Network::workload_complete() const {
   return true;
 }
 
-// lint: stats-site(RelayCounters)
 RunStats Network::stats() const {
   MacCounters total{};
   double energy_j = 0.0;
@@ -672,150 +671,68 @@ double Network::deployed_mean_degree() const {
   return mean_degree(initial_positions_, config_.channel.comm_range_m);
 }
 
-void Network::save_state(StateWriter& writer) const {
-  writer.section("engine", [this](StateWriter& w) { sim_.save_checkpoint(w); });
-  writer.section("nodes", [this](StateWriter& w) {
-    w.write_u64(nodes_.size());
+void Network::visit_state(StateArchive& ar) {
+  ar.section("engine", [this](StateArchive& a) { a(sim_); });
+  ar.section("nodes", [this](StateArchive& a) {
+    a.expect(nodes_.size(), "checkpoint node count differs from the scenario's");
     for (const auto& node : nodes_) {
-      node->modem().save_state(w);
-      node->mac().save_state(w);
-      node->neighbors().save_state(w);
-      node->mobility().save_state(w);
+      a(node->modem(), node->mac(), node->neighbors(), node->mobility());
     }
   });
-  writer.section("traffic", [this](StateWriter& w) {
-    w.write_u64(sources_.size());
-    for (const auto& source : sources_) source->save_state(w);
-    w.write_u64(route_rngs_.size());
-    for (const auto& route_rng : route_rngs_) {
-      for (const std::uint64_t word : route_rng->state()) w.write_u64(word);
-    }
+  ar.section("traffic", [this](StateArchive& a) {
+    a.expect(sources_.size(), "checkpoint traffic-source count differs from the scenario's");
+    for (const auto& source : sources_) a(*source);
+    a.expect(route_rngs_.size(), "checkpoint route-stream count differs from the scenario's");
+    for (const auto& route_rng : route_rngs_) a(*route_rng);
   });
-  writer.section("faults", [this](StateWriter& w) {
-    w.write_bool(fault_plan_ != nullptr);
-    if (fault_plan_ != nullptr) fault_plan_->save_state(w);
+  ar.section("faults", [this](StateArchive& a) {
+    a.expect(fault_plan_ != nullptr,
+             "checkpoint fault-plan presence differs from the scenario's");
+    if (fault_plan_ != nullptr) a(*fault_plan_);
   });
-  writer.section("routing", [this](StateWriter& w) {
-    w.write_bool(!relays_.empty());
-    if (!relays_.empty()) {
-      for (const auto& relay_agent : relays_) relay_agent->save_state(w);
-    }
-    w.write_bool(!relay_rngs_.empty());
-    for (const auto& relay_rng : relay_rngs_) {
-      for (const std::uint64_t word : relay_rng->state()) w.write_u64(word);
-    }
-    w.write_bool(!dv_routers_.empty());
-    if (!dv_routers_.empty()) {
-      for (const auto& dv : dv_routers_) dv->save_state(w);
-      for (const auto& beacon_rng : beacon_rngs_) {
-        for (const std::uint64_t word : beacon_rng->state()) w.write_u64(word);
-      }
-      for (const Time after : dv_trigger_after_) w.write_time(after);
-    }
+  ar.section("routing", [this](StateArchive& a) {
+    a.expect(!relays_.empty(), "checkpoint relay presence differs from the scenario's");
+    for (const auto& relay_agent : relays_) a(*relay_agent);
+    a.expect(!relay_rngs_.empty(), "checkpoint relay-rng presence differs from the scenario's");
+    for (const auto& relay_rng : relay_rngs_) a(*relay_rng);
+    a.expect(!dv_routers_.empty(), "checkpoint DV-router presence differs from the scenario's");
+    if (dv_routers_.empty()) return;
+    for (const auto& dv : dv_routers_) a(*dv);
+    for (const auto& beacon_rng : beacon_rngs_) a(*beacon_rng);
+    for (Time& after : dv_trigger_after_) a(after);
   });
-  writer.section("channel", [this](StateWriter& w) {
-    w.write_u64(channel_->transmissions());
+  ar.section("channel", [this](StateArchive& a) {
+    std::uint64_t transmissions = channel_->transmissions();
+    a(transmissions);
+    if (a.loading()) channel_->set_transmissions(transmissions);
   });
-  writer.section("trace", [this](StateWriter& w) {
-    w.write_bool(tally_trace_ != nullptr);
-    if (tally_trace_ != nullptr) {
-      w.write_u64(tally_trace_->count());
-      w.write_u64(tally_trace_->digest());
-    }
-  });
-}
-
-void Network::restore_state(StateReader& reader) {
-  reader.section("engine", [this](StateReader& r) { sim_.restore_checkpoint(r); });
-  reader.section("nodes", [this](StateReader& r) {
-    if (r.read_u64() != nodes_.size()) {
-      throw CheckpointError("checkpoint node count differs from the scenario's");
-    }
-    for (const auto& node : nodes_) {
-      node->modem().restore_state(r);
-      node->mac().restore_state(r);
-      node->neighbors().restore_state(r);
-      node->mobility().restore_state(r);
-    }
-  });
-  reader.section("traffic", [this](StateReader& r) {
-    if (r.read_u64() != sources_.size()) {
-      throw CheckpointError("checkpoint traffic-source count differs from the scenario's");
-    }
-    for (const auto& source : sources_) source->restore_state(r);
-    if (r.read_u64() != route_rngs_.size()) {
-      throw CheckpointError("checkpoint route-stream count differs from the scenario's");
-    }
-    for (const auto& route_rng : route_rngs_) {
-      Rng::State words{};
-      for (std::uint64_t& word : words) word = r.read_u64();
-      route_rng->set_state(words);
-    }
-  });
-  reader.section("faults", [this](StateReader& r) {
-    const bool had_plan = r.read_bool();
-    if (had_plan != (fault_plan_ != nullptr)) {
-      throw CheckpointError("checkpoint fault-plan presence differs from the scenario's");
-    }
-    if (fault_plan_ != nullptr) fault_plan_->restore_state(r);
-  });
-  reader.section("routing", [this](StateReader& r) {
-    if (r.read_bool() != !relays_.empty()) {
-      throw CheckpointError("checkpoint relay presence differs from the scenario's");
-    }
-    for (const auto& relay_agent : relays_) relay_agent->restore_state(r);
-    if (r.read_bool() != !relay_rngs_.empty()) {
-      throw CheckpointError("checkpoint relay-rng presence differs from the scenario's");
-    }
-    for (const auto& relay_rng : relay_rngs_) {
-      Rng::State words{};
-      for (std::uint64_t& word : words) word = r.read_u64();
-      relay_rng->set_state(words);
-    }
-    if (r.read_bool() != !dv_routers_.empty()) {
-      throw CheckpointError("checkpoint DV-router presence differs from the scenario's");
-    }
-    for (const auto& dv : dv_routers_) dv->restore_state(r);
-    for (const auto& beacon_rng : beacon_rngs_) {
-      Rng::State words{};
-      for (std::uint64_t& word : words) word = r.read_u64();
-      beacon_rng->set_state(words);
-    }
-    for (Time& after : dv_trigger_after_) after = r.read_time();
-  });
-  reader.section("channel", [this](StateReader& r) {
-    channel_->set_transmissions(r.read_u64());
-  });
-  reader.section("trace", [this](StateReader& r) {
-    const bool had_trace = r.read_bool();
-    if (had_trace != (tally_trace_ != nullptr)) {
-      throw CheckpointError("checkpoint trace presence differs from this run's");
-    }
-    if (tally_trace_ != nullptr) {
-      const std::uint64_t count = r.read_u64();
-      const std::uint64_t digest = r.read_u64();
-      tally_trace_->set_state(count, digest);
-    }
+  ar.section("trace", [this](StateArchive& a) {
+    a.expect(tally_trace_ != nullptr, "checkpoint trace presence differs from this run's");
+    if (tally_trace_ == nullptr) return;
+    std::uint64_t count = tally_trace_->count();
+    std::uint64_t digest = tally_trace_->digest();
+    a(count, digest);
+    if (a.loading()) tally_trace_->set_state(count, digest);
   });
 }
 
 void Network::verify_restore(const std::string& payload) {
   StateWriter replayed;
-  save_state(replayed);
+  save_state(*this, replayed);
   if (replayed.bytes() != payload) {
     throw CheckpointError("replayed state diverges from checkpoint: " +
                           describe_payload_difference(payload, replayed.bytes()));
   }
   // The byte match proves equality; the decode + re-encode round trip
-  // additionally exercises every restore_state path, so a field a
-  // decoder forgot to assign (or assigns wrongly) cannot hide.
+  // additionally exercises every loading path, so a field a visit_state
+  // body forgot to assign (or assigns wrongly) cannot hide.
   StateReader reader{payload};
-  restore_state(reader);
+  restore_state(*this, reader);
   if (reader.remaining() != 0) {
     throw CheckpointError("checkpoint payload has trailing bytes after restore");
   }
   StateWriter round_trip;
-  save_state(round_trip);
+  save_state(*this, round_trip);
   if (round_trip.bytes() != payload) {
     throw CheckpointError("checkpoint decode/re-encode drift: " +
                           describe_payload_difference(payload, round_trip.bytes()));

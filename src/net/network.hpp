@@ -158,9 +158,9 @@ class Network {
   /// dropped, so completion time and energy are measured exactly.
   RunStats run();
 
-  /// run() with boundary hooks (checkpointing, warm-started sweeps). The
-  /// executed event sequence is identical to the hook-free run; stats()
-  /// reflects the stop point when a hook ends the run early.
+  /// run() with boundary hooks (checkpointing). The executed event
+  /// sequence is identical to the hook-free run; stats() reflects the
+  /// stop point when a hook ends the run early.
   RunStats run(const RunBoundaryHooks& hooks);
 
   /// Sender-side completion: every offered packet acked or dropped.
@@ -203,14 +203,12 @@ class Network {
   /// The spatial shard plan; null when config.shards <= 1.
   [[nodiscard]] const ShardPlan* shard_plan() const { return shard_plan_.get(); }
 
-  /// Encodes the complete runtime state of the run — engine, every node's
+  /// The complete runtime state of the run — engine, every node's
   /// modem/MAC/neighbor/mobility state, traffic and route RNG streams,
   /// fault-plan loss streams, channel tally and trace position — as the
-  /// checkpoint payload (docs/checkpoint.md). Callable at any boundary
-  /// time (i.e. between events).
-  void save_state(StateWriter& writer) const;
-  /// Decodes a payload produced by save_state, assigning every field.
-  void restore_state(StateReader& reader);
+  /// checkpoint payload (docs/checkpoint.md). Saving is callable at any
+  /// boundary time (i.e. between events).
+  void visit_state(StateArchive& ar);
   /// Digest-verified restore at the checkpoint time: requires this
   /// (replayed) network's state to byte-match `payload`, then round-trips
   /// it through restore_state + save_state. Throws CheckpointError naming

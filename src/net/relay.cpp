@@ -22,27 +22,8 @@ RelayDropPolicy relay_drop_policy_from_string(std::string_view name) {
   throw std::invalid_argument("unknown relay drop policy: " + std::string(name));
 }
 
-// lint: stats-site(RelayCounters)
-RelayCounters& RelayCounters::operator+=(const RelayCounters& o) {
-  originated += o.originated;
-  arrived_at_sink += o.arrived_at_sink;
-  forwarded += o.forwarded;
-  dropped_no_route += o.dropped_no_route;
-  dropped_hop_limit += o.dropped_hop_limit;
-  dropped_mac += o.dropped_mac;
-  total_e2e_latency += o.total_e2e_latency;
-  total_hops += o.total_hops;
-  total_stretch_hops += o.total_stretch_hops;
-  total_tree_hops += o.total_tree_hops;
-  retransmissions += o.retransmissions;
-  failovers += o.failovers;
-  dead_letter_exhausted += o.dead_letter_exhausted;
-  dead_letter_overflow += o.dead_letter_overflow;
-  dead_letter_no_route += o.dead_letter_no_route;
-  duplicates_suppressed += o.duplicates_suppressed;
-  // Aggregated high-water is the worst single node, not a network sum.
-  queue_highwater = std::max(queue_highwater, o.queue_highwater);
-  return *this;
+void RelayCounters::visit_state(StateArchive& ar) {
+  for_each_field([&ar](auto, auto& field) { ar(field); }, *this);
 }
 
 RelayAgent::RelayAgent(Simulator& sim, MacProtocol& mac, NodeId self, bool is_sink,
@@ -295,94 +276,23 @@ Duration RelayAgent::backoff_for(std::uint32_t retries) {
   return Duration::from_seconds(wait.to_seconds() * jitter);
 }
 
-void RelayAgent::save_state(StateWriter& writer) const {
-  writer.write_u64(next_e2e_id_);
-  writer.write_u64(counters_.originated);
-  writer.write_u64(counters_.arrived_at_sink);
-  writer.write_u64(counters_.forwarded);
-  writer.write_u64(counters_.dropped_no_route);
-  writer.write_u64(counters_.dropped_hop_limit);
-  writer.write_u64(counters_.dropped_mac);
-  writer.write_duration(counters_.total_e2e_latency);
-  writer.write_u64(counters_.total_hops);
-  writer.write_u64(counters_.total_stretch_hops);
-  writer.write_u64(counters_.total_tree_hops);
-  writer.write_u64(counters_.retransmissions);
-  writer.write_u64(counters_.failovers);
-  writer.write_u64(counters_.dead_letter_exhausted);
-  writer.write_u64(counters_.dead_letter_overflow);
-  writer.write_u64(counters_.dead_letter_no_route);
-  writer.write_u64(counters_.duplicates_suppressed);
-  writer.write_u64(counters_.queue_highwater);
-  writer.write_bool(rel_.enabled());
-  if (!rel_.enabled()) return;
-  writer.write_u64(next_admission_);
-  writer.write_u64(custody_.size());
-  for (const auto& [id, custody] : custody_) {  // ordered map: stable
-    writer.write_u64(id);
-    writer.write_u32(custody.e2e.origin);
-    writer.write_u32(custody.e2e.final_dst);
-    writer.write_u8(custody.e2e.hop_count);
-    writer.write_time(custody.e2e.created_at);
-    writer.write_u32(custody.bits);
-    writer.write_u32(custody.retries);
-    writer.write_u32(custody.last_dst);
-    // Pending backoff timers carry only this bit: resume replays the
-    // prefix, so the live EventHandles regenerate on their own.
-    writer.write_bool(custody.in_backoff);
-    writer.write_u64(custody.admission);
-  }
-  writer.write_u64(seen_.size());
-  for (const std::uint64_t id : seen_) writer.write_u64(id);  // ordered set
+void RelayAgent::Custody::visit_state(StateArchive& ar) {
+  ar(e2e.origin, e2e.final_dst, e2e.hop_count, e2e.created_at, bits, retries, last_dst,
+     in_backoff, admission);
 }
 
-void RelayAgent::restore_state(StateReader& reader) {
-  next_e2e_id_ = reader.read_u64();
-  counters_.originated = reader.read_u64();
-  counters_.arrived_at_sink = reader.read_u64();
-  counters_.forwarded = reader.read_u64();
-  counters_.dropped_no_route = reader.read_u64();
-  counters_.dropped_hop_limit = reader.read_u64();
-  counters_.dropped_mac = reader.read_u64();
-  counters_.total_e2e_latency = reader.read_duration();
-  counters_.total_hops = reader.read_u64();
-  counters_.total_stretch_hops = reader.read_u64();
-  counters_.total_tree_hops = reader.read_u64();
-  counters_.retransmissions = reader.read_u64();
-  counters_.failovers = reader.read_u64();
-  counters_.dead_letter_exhausted = reader.read_u64();
-  counters_.dead_letter_overflow = reader.read_u64();
-  counters_.dead_letter_no_route = reader.read_u64();
-  counters_.duplicates_suppressed = reader.read_u64();
-  counters_.queue_highwater = reader.read_u64();
-  const bool arq = reader.read_bool();
-  if (arq != rel_.enabled()) {
-    // The payload layout branches on the reliability config; restoring
-    // into an agent configured differently would misparse the stream.
-    throw CheckpointError("relay restore: reliability-enabled mismatch with config");
+void RelayAgent::visit_state(StateArchive& ar) {
+  ar(next_e2e_id_, counters_);
+  // The payload layout branches on the reliability config; loading into
+  // an agent configured differently would misparse the stream.
+  ar.expect(rel_.enabled(), "relay restore: reliability-enabled mismatch with config");
+  if (!rel_.enabled()) return;
+  // Pending backoff timers travel only as Custody::in_backoff: resume
+  // replays the prefix, so the live EventHandles regenerate on their own.
+  ar(next_admission_, custody_, seen_);
+  if (ar.loading()) {
+    for (auto& [id, custody] : custody_) custody.e2e.e2e_id = id;
   }
-  if (!arq) return;
-  next_admission_ = reader.read_u64();
-  custody_.clear();
-  const std::uint64_t custody_count = reader.read_u64();
-  for (std::uint64_t k = 0; k < custody_count; ++k) {
-    const std::uint64_t id = reader.read_u64();
-    Custody custody{};
-    custody.e2e.origin = reader.read_u32();
-    custody.e2e.final_dst = reader.read_u32();
-    custody.e2e.hop_count = reader.read_u8();
-    custody.e2e.created_at = reader.read_time();
-    custody.e2e.e2e_id = id;
-    custody.bits = reader.read_u32();
-    custody.retries = reader.read_u32();
-    custody.last_dst = reader.read_u32();
-    custody.in_backoff = reader.read_bool();
-    custody.admission = reader.read_u64();
-    custody_.emplace(id, custody);
-  }
-  seen_.clear();
-  const std::uint64_t seen_count = reader.read_u64();
-  for (std::uint64_t k = 0; k < seen_count; ++k) seen_.insert(reader.read_u64());
 }
 
 }  // namespace aquamac

@@ -63,7 +63,6 @@ struct ReliabilityConfig {
 };
 
 /// Network-layer counters, aggregated by Network::stats in multi-hop mode.
-// lint: stats-class(merged by operator+=, folded into RunStats by Network::stats)
 struct RelayCounters {
   std::uint64_t originated{0};       ///< packets stamped at this origin
   std::uint64_t arrived_at_sink{0};  ///< packets absorbed here as sink
@@ -88,7 +87,33 @@ struct RelayCounters {
   std::uint64_t duplicates_suppressed{0};  ///< e2e-id dedup hits
   std::uint64_t queue_highwater{0};        ///< max custody occupancy seen
 
-  RelayCounters& operator+=(const RelayCounters& o);
+  RelayCounters& operator+=(const RelayCounters& o) { return merge_counters(*this, o); }
+
+  /// Checkpoint state: every field, in field-list order.
+  void visit_state(StateArchive& ar);
+
+  /// The one field list (see MacCounters::for_each_field). The aggregated
+  /// high-water mark is the worst single node, not a network sum.
+  template <class Fn, class... C>
+  static void for_each_field(Fn&& fn, C&... c) {
+    fn(kSum, c.originated...);
+    fn(kSum, c.arrived_at_sink...);
+    fn(kSum, c.forwarded...);
+    fn(kSum, c.dropped_no_route...);
+    fn(kSum, c.dropped_hop_limit...);
+    fn(kSum, c.dropped_mac...);
+    fn(kSum, c.total_e2e_latency...);
+    fn(kSum, c.total_hops...);
+    fn(kSum, c.total_stretch_hops...);
+    fn(kSum, c.total_tree_hops...);
+    fn(kSum, c.retransmissions...);
+    fn(kSum, c.failovers...);
+    fn(kSum, c.dead_letter_exhausted...);
+    fn(kSum, c.dead_letter_overflow...);
+    fn(kSum, c.dead_letter_no_route...);
+    fn(kSum, c.duplicates_suppressed...);
+    fn(kMax, c.queue_highwater...);
+  }
 };
 
 class RelayAgent {
@@ -133,8 +158,7 @@ class RelayAgent {
   /// Checkpoint encoding of the relay bookkeeping (counters, the origin
   /// id allocator and — with the ARQ on — the custody queue and dedup
   /// set); part of the Network's "routing" section.
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   /// One packet this node holds custody of until the MAC confirms the
@@ -146,6 +170,9 @@ class RelayAgent {
     NodeId last_dst{kNoNode};  ///< hop of the most recent MAC attempt
     bool in_backoff{false};    ///< a retry timer is pending
     std::uint64_t admission{0};  ///< FIFO age + stale-timer guard
+
+    /// Everything but e2e.e2e_id, which is the custody map's key.
+    void visit_state(StateArchive& ar);
   };
 
   /// Dead-letter reason codes (kRelayDeadLetter's `b` field).

@@ -57,16 +57,6 @@ void TrafficSource::schedule_next() {
   });
 }
 
-void TrafficSource::save_state(StateWriter& writer) const {
-  for (const std::uint64_t word : rng_.state()) writer.write_u64(word);
-  writer.write_u64(generated_);
-}
-
-void TrafficSource::restore_state(StateReader& reader) {
-  Rng::State words{};
-  for (std::uint64_t& word : words) word = reader.read_u64();
-  rng_.set_state(words);
-  generated_ = reader.read_u64();
-}
+void TrafficSource::visit_state(StateArchive& ar) { ar(rng_, generated_); }
 
 }  // namespace aquamac

@@ -48,8 +48,7 @@ class TrafficSource {
 
   /// Checkpoint encoding: the draw stream and the generated count (the
   /// pending next-arrival event lives in the engine's event capture).
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   void schedule_next();

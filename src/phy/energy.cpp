@@ -1,3 +1,9 @@
-// energy.hpp is header-only; this TU compiles it standalone under the
-// project's warning set.
 #include "phy/energy.hpp"
+
+#include "sim/checkpoint.hpp"
+
+namespace aquamac {
+
+void EnergyMeter::visit_state(StateArchive& ar) { ar(tx_time_, rx_time_); }
+
+}  // namespace aquamac

@@ -14,6 +14,8 @@
 
 namespace aquamac {
 
+class StateArchive;
+
 struct PowerProfile {
   double tx_w{2.0};    ///< transmit electrical power, watts
   double rx_w{0.75};   ///< active-receive power, watts
@@ -32,11 +34,8 @@ class EnergyMeter {
   [[nodiscard]] Duration tx_time() const { return tx_time_; }
   [[nodiscard]] Duration rx_time() const { return rx_time_; }
 
-  /// Checkpoint restore: overwrite the accumulated active times.
-  void set_times(Duration tx, Duration rx) {
-    tx_time_ = tx;
-    rx_time_ = rx;
-  }
+  /// Checkpoint state: the accumulated active times.
+  void visit_state(StateArchive& ar);
 
   /// Total energy in joules over an elapsed wall of simulated time; time
   /// not spent transmitting or actively receiving is billed at idle_w.
@@ -56,7 +55,7 @@ class EnergyMeter {
   [[nodiscard]] const PowerProfile& profile() const { return profile_; }
 
  private:
-  PowerProfile profile_;
+  PowerProfile profile_;  // lint: ckpt-skip(scenario-derived, rebuilt by resume)
   Duration tx_time_{};
   Duration rx_time_{};
 };

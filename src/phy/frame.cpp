@@ -36,75 +36,21 @@ std::string Frame::to_string() const {
   return os.str();
 }
 
-void save_frame(StateWriter& writer, const Frame& frame) {
-  writer.write_u8(static_cast<std::uint8_t>(frame.type));
-  writer.write_u32(frame.src);
-  writer.write_u32(frame.dst);
-  writer.write_u32(frame.size_bits);
-  writer.write_u64(frame.seq);
-  writer.write_time(frame.sent_at);
-  writer.write_f64(frame.priority_rp);
-  writer.write_duration(frame.pair_delay);
-  writer.write_duration(frame.data_duration);
-  writer.write_u32(frame.data_bits);
-  writer.write_u32(frame.origin);
-  writer.write_u32(frame.final_dst);
-  writer.write_u8(frame.hop_count);
-  writer.write_u64(frame.e2e_id);
-  writer.write_time(frame.created_at);
-  writer.write_bool(frame.route_valid);
-  writer.write_u32(frame.route_sink);
-  writer.write_u32(frame.route_seq);
-  writer.write_duration(frame.route_cost);
-  writer.write_u32(frame.route_hops);
-  writer.write_u32(frame.route_next_hop);
-  writer.write_bool(frame.neighbor_info != nullptr);
-  if (frame.neighbor_info != nullptr) {
-    writer.write_u64(frame.neighbor_info->size());
-    for (const NeighborInfo& info : *frame.neighbor_info) {
-      writer.write_u32(info.id);
-      writer.write_duration(info.delay);
-    }
-  }
-}
+void NeighborInfo::visit_state(StateArchive& ar) { ar(id, delay); }
 
-Frame read_frame(StateReader& reader) {
-  Frame frame{};
-  frame.type = static_cast<FrameType>(reader.read_u8());
-  frame.src = reader.read_u32();
-  frame.dst = reader.read_u32();
-  frame.size_bits = reader.read_u32();
-  frame.seq = reader.read_u64();
-  frame.sent_at = reader.read_time();
-  frame.priority_rp = reader.read_f64();
-  frame.pair_delay = reader.read_duration();
-  frame.data_duration = reader.read_duration();
-  frame.data_bits = reader.read_u32();
-  frame.origin = reader.read_u32();
-  frame.final_dst = reader.read_u32();
-  frame.hop_count = reader.read_u8();
-  frame.e2e_id = reader.read_u64();
-  frame.created_at = reader.read_time();
-  frame.route_valid = reader.read_bool();
-  frame.route_sink = reader.read_u32();
-  frame.route_seq = reader.read_u32();
-  frame.route_cost = reader.read_duration();
-  frame.route_hops = reader.read_u32();
-  frame.route_next_hop = reader.read_u32();
-  if (reader.read_bool()) {
-    std::vector<NeighborInfo> entries;
-    const std::uint64_t count = reader.read_u64();
-    entries.reserve(count);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      NeighborInfo info{};
-      info.id = reader.read_u32();
-      info.delay = reader.read_duration();
-      entries.push_back(info);
-    }
-    frame.neighbor_info =
-        std::make_shared<const std::vector<NeighborInfo>>(std::move(entries));
+void Frame::visit_state(StateArchive& ar) {
+  ar.as<std::uint8_t>(type);
+  ar(src, dst, size_bits, seq, sent_at, priority_rp, pair_delay, data_duration, data_bits,
+     origin, final_dst, hop_count, e2e_id, created_at, route_valid, route_sink, route_seq,
+     route_cost, route_hops, route_next_hop);
+  std::optional<std::vector<NeighborInfo>> entries;
+  if (neighbor_info != nullptr) entries = *neighbor_info;
+  ar(entries);
+  if (ar.loading()) {
+    neighbor_info = entries ? std::make_shared<const std::vector<NeighborInfo>>(
+                                  std::move(*entries))
+                            : nullptr;
   }
-  return frame;
 }
 
 }  // namespace aquamac

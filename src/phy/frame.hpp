@@ -40,10 +40,14 @@ enum class FrameType : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(FrameType type);
 
+class StateArchive;
+
 /// One entry of a broadcast neighbor table (kMaint frames).
 struct NeighborInfo {
   NodeId id{kNoNode};
   Duration delay{};
+
+  void visit_state(StateArchive& ar);
 };
 
 [[nodiscard]] constexpr bool is_control(FrameType type) {
@@ -117,14 +121,10 @@ struct Frame {
   [[nodiscard]] bool control() const { return is_control(type); }
   [[nodiscard]] bool extra() const { return is_extra(type); }
   [[nodiscard]] std::string to_string() const;
+
+  /// Checkpoint state, including the neighbor_info payload (as a has-bit
+  /// plus entries; restored frames own a fresh copy).
+  void visit_state(StateArchive& ar);
 };
-
-class StateReader;
-class StateWriter;
-
-/// Checkpoint encoding of a full frame, including the neighbor_info
-/// payload (as a has-bit plus entries; restored frames own a fresh copy).
-void save_frame(StateWriter& writer, const Frame& frame);
-[[nodiscard]] Frame read_frame(StateReader& reader);
 
 }  // namespace aquamac

@@ -148,84 +148,15 @@ void AcousticModem::prune_ledgers() {
   std::erase_if(tx_windows_, [now](const TimeInterval& w) { return w.end < now; });
 }
 
-void AcousticModem::save_state(StateWriter& writer) const {
-  writer.section("modem", [this](StateWriter& w) {
-    for (const std::uint64_t word : rng_.state()) w.write_u64(word);
-    w.write_u64(arrivals_.size());
-    for (const Arrival& arrival : arrivals_) {
-      w.write_u64(arrival.id);
-      save_frame(w, arrival.frame);
-      w.write_f64(arrival.rx_level_db);
-      w.write_time(arrival.window.begin);
-      w.write_time(arrival.window.end);
-      w.write_f64(arrival.noise_level_db);
-      w.write_f64(arrival.detection_threshold_db);
-    }
-    w.write_u64(tx_windows_.size());
-    for (const TimeInterval& window : tx_windows_) {
-      w.write_time(window.begin);
-      w.write_time(window.end);
-    }
-    w.write_u64(next_arrival_id_);
-    w.write_time(current_tx_end_);
-    w.write_duration(energy_.tx_time());
-    w.write_duration(energy_.rx_time());
-    w.write_time(last_rx_accounted_until_);
-    w.write_duration(clock_offset_);
-    w.write_f64(clock_drift_ppm_);
-    w.write_bool(operational_);
-    w.write_f64(position_.x);
-    w.write_f64(position_.y);
-    w.write_f64(position_.z);
-    w.write_u64(position_epoch_);
-    w.write_u64(frames_sent_);
-    w.write_u64(frames_received_);
-    w.write_u64(rx_losses_);
-  });
+void AcousticModem::Arrival::visit_state(StateArchive& ar) {
+  ar(id, frame, rx_level_db, window, noise_level_db, detection_threshold_db);
 }
 
-void AcousticModem::restore_state(StateReader& reader) {
-  reader.section("modem", [this](StateReader& r) {
-    Rng::State words{};
-    for (std::uint64_t& word : words) word = r.read_u64();
-    rng_.set_state(words);
-    arrivals_.clear();
-    const std::uint64_t arrival_count = r.read_u64();
-    for (std::uint64_t k = 0; k < arrival_count; ++k) {
-      Arrival arrival{};
-      arrival.id = r.read_u64();
-      arrival.frame = read_frame(r);
-      arrival.rx_level_db = r.read_f64();
-      arrival.window.begin = r.read_time();
-      arrival.window.end = r.read_time();
-      arrival.noise_level_db = r.read_f64();
-      arrival.detection_threshold_db = r.read_f64();
-      arrivals_.push_back(arrival);
-    }
-    tx_windows_.clear();
-    const std::uint64_t tx_count = r.read_u64();
-    for (std::uint64_t k = 0; k < tx_count; ++k) {
-      TimeInterval window{};
-      window.begin = r.read_time();
-      window.end = r.read_time();
-      tx_windows_.push_back(window);
-    }
-    next_arrival_id_ = r.read_u64();
-    current_tx_end_ = r.read_time();
-    const Duration tx_time = r.read_duration();
-    const Duration rx_time = r.read_duration();
-    energy_.set_times(tx_time, rx_time);
-    last_rx_accounted_until_ = r.read_time();
-    clock_offset_ = r.read_duration();
-    clock_drift_ppm_ = r.read_f64();
-    operational_ = r.read_bool();
-    position_.x = r.read_f64();
-    position_.y = r.read_f64();
-    position_.z = r.read_f64();
-    position_epoch_ = r.read_u64();
-    frames_sent_ = r.read_u64();
-    frames_received_ = r.read_u64();
-    rx_losses_ = r.read_u64();
+void AcousticModem::visit_state(StateArchive& ar) {
+  ar.section("modem", [this](StateArchive& a) {
+    a(rng_, arrivals_, tx_windows_, next_arrival_id_, current_tx_end_, energy_,
+      last_rx_accounted_until_, clock_offset_, clock_drift_ppm_, operational_, position_,
+      position_epoch_, frames_sent_, frames_received_, rx_losses_);
   });
 }
 

@@ -146,11 +146,10 @@ class AcousticModem {
 
   /// Checkpoint encoding of the modem's mutable runtime state: the
   /// arrival/tx ledgers, energy and clock accumulators, position (with
-  /// epoch) and the PHY rng (docs/checkpoint.md). restore_state assigns
-  /// the position directly without re-binning the channel — resume is
+  /// epoch) and the PHY rng (docs/checkpoint.md). Loading assigns the
+  /// position directly without re-binning the channel — resume is
   /// replay-based, so the channel index is already consistent.
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  void visit_state(StateArchive& ar);
 
  private:
   struct Arrival {
@@ -160,6 +159,8 @@ class AcousticModem {
     TimeInterval window;
     double noise_level_db;
     double detection_threshold_db;
+
+    void visit_state(StateArchive& ar);
   };
 
   void finish_arrival(std::uint64_t arrival_id);

@@ -381,51 +381,34 @@ std::vector<EventQueue::LiveEvent> sorted_live_events(const std::vector<EventQue
 
 }  // namespace
 
-void Simulator::save_checkpoint(StateWriter& writer) const {
-  writer.write_time(now_);
-  writer.write_u64(events_executed_);
-  writer.write_u64(lane_seq_.size());
-  for (const std::uint64_t seq : lane_seq_) writer.write_u64(seq);
-  const std::vector<EventQueue::LiveEvent> live = sorted_live_events(queues_);
-  writer.write_u64(live.size());
-  for (const EventQueue::LiveEvent& event : live) {
-    writer.write_time(event.key.when);
-    writer.write_u32(event.key.origin);
-    writer.write_u64(event.key.origin_seq);
-    writer.write_u32(event.lane);
-  }
-}
-
-void Simulator::restore_checkpoint(StateReader& reader) const {
-  const auto mismatch = [](const std::string& what) {
-    throw CheckpointError("engine state diverges from checkpoint: " + what);
+void Simulator::visit_state(StateArchive& ar) const {
+  const auto diverges = [](const std::string& what) {
+    return "engine state diverges from checkpoint: " + what;
   };
-  const Time stored_now = reader.read_time();
-  if (stored_now != now_) mismatch("clock");
-  const std::uint64_t stored_executed = reader.read_u64();
-  if (stored_executed != events_executed_) {
-    mismatch("executed-event count (checkpoint " + std::to_string(stored_executed) +
-             ", replay " + std::to_string(events_executed_) + ")");
-  }
-  const std::uint64_t lane_count = reader.read_u64();
-  if (lane_count != lane_seq_.size()) mismatch("lane count");
+  const auto stored_vs_replay = [&diverges](const std::string& what, std::uint64_t replay) {
+    return [&diverges, what, replay](std::uint64_t stored) {
+      return diverges(what + " (checkpoint " + std::to_string(stored) + ", replay " +
+                      std::to_string(replay) + ")");
+    };
+  };
+  ar.expect(now_, diverges("clock"));
+  ar.expect(events_executed_, stored_vs_replay("executed-event count", events_executed_));
+  ar.expect(lane_seq_.size(), diverges("lane count"));
   for (std::size_t lane = 0; lane < lane_seq_.size(); ++lane) {
-    if (reader.read_u64() != lane_seq_[lane]) {
-      mismatch("sequence counter of lane " + std::to_string(lane));
-    }
+    ar.expect(lane_seq_[lane], [&diverges, lane](std::uint64_t) {
+      return diverges("sequence counter of lane " + std::to_string(lane));
+    });
   }
   const std::vector<EventQueue::LiveEvent> live = sorted_live_events(queues_);
-  const std::uint64_t stored_live = reader.read_u64();
-  if (stored_live != live.size()) {
-    mismatch("pending-event count (checkpoint " + std::to_string(stored_live) + ", replay " +
-             std::to_string(live.size()) + ")");
-  }
+  ar.expect(live.size(), stored_vs_replay("pending-event count", live.size()));
   for (std::size_t k = 0; k < live.size(); ++k) {
-    const EventKey key{reader.read_time(), reader.read_u32(), reader.read_u64()};
-    const std::uint32_t lane = reader.read_u32();
-    if (!(key == live[k].key) || lane != live[k].lane) {
-      mismatch("pending event #" + std::to_string(k));
-    }
+    const auto mismatch = [&diverges, k](const auto&) {
+      return diverges("pending event #" + std::to_string(k));
+    };
+    ar.expect(live[k].key.when, mismatch);
+    ar.expect(live[k].key.origin, mismatch);
+    ar.expect(live[k].key.origin_seq, mismatch);
+    ar.expect(live[k].lane, mismatch);
   }
 }
 

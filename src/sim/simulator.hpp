@@ -42,8 +42,7 @@
 
 namespace aquamac {
 
-class StateReader;
-class StateWriter;
+class StateArchive;
 class ThreadPool;
 
 /// Configuration of the sharded conservative-PDES engine.
@@ -191,20 +190,19 @@ class Simulator {
 
   // --- checkpointing ---------------------------------------------------
 
-  /// Serializes the engine component of a checkpoint: clock, executed
-  /// event count, per-lane sequence counters, and the intrinsic (time,
-  /// origin, seq, lane) keys of every live pending event, sorted by key.
-  /// The encoding is shard-count-invariant: handle ids (which embed the
-  /// owning queue index) and windows_executed_ are deliberately excluded,
-  /// so a K=4 run snapshots byte-identically to the serial run it mirrors.
-  void save_checkpoint(StateWriter& writer) const;
-
-  /// Decodes an engine component and verifies it against current state.
-  /// Restore works by replaying the deterministic prefix to the
-  /// checkpoint time (callbacks are closures and cannot be serialized),
-  /// so after replay the live event set must already match the snapshot
-  /// exactly; any mismatch throws CheckpointError naming the component.
-  void restore_checkpoint(StateReader& reader) const;
+  /// The engine component of a checkpoint: clock, executed event count,
+  /// per-lane sequence counters, and the intrinsic (time, origin, seq,
+  /// lane) keys of every live pending event, sorted by key. The encoding
+  /// is shard-count-invariant: handle ids (which embed the owning queue
+  /// index) and windows_executed_ are deliberately excluded, so a K=4 run
+  /// snapshots byte-identically to the serial run it mirrors.
+  ///
+  /// Loading only verifies. Restore works by replaying the deterministic
+  /// prefix to the checkpoint time (callbacks are closures and cannot be
+  /// serialized), so after replay the live event set must already match
+  /// the snapshot exactly; any mismatch throws CheckpointError naming the
+  /// component.
+  void visit_state(StateArchive& ar) const;
 
   /// Queue-index bits in a handle id; bounds shards at kMaxQueues - 1.
   static constexpr unsigned kQueueBits = 8;
@@ -230,27 +228,27 @@ class Simulator {
 
   std::vector<EventQueue> queues_;  ///< [0] = global/serial; [1..K] = shards
   Time now_{Time::zero()};
-  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> stop_requested_{false};  // lint: ckpt-skip(run control, not state)
   std::uint64_t events_executed_{0};
-  std::uint64_t windows_executed_{0};
-  Logger logger_;
+  std::uint64_t windows_executed_{0};  // lint: ckpt-skip(shard-count dependent diagnostics)
+  Logger logger_;  // lint: ckpt-skip(logging wiring, no simulation state)
 
   /// Per-lane push counters: lane_seq_[l] counts pushes whose origin is l.
   /// A lane's counter is only ever touched by the context executing that
   /// lane, so concurrent shards touch disjoint slots.
   std::vector<std::uint64_t> lane_seq_;
-  std::uint32_t schedule_lane_{0};  ///< scheduling lane outside event context
+  std::uint32_t schedule_lane_{0};  // lint: ckpt-skip(reset between events; no state at a boundary)
 
   // Sharded engine state.
-  bool sharded_{false};
-  std::vector<std::uint32_t> queue_of_lane_;  ///< lane -> owning queue index
-  std::vector<std::unique_ptr<ExecContext>> contexts_;  ///< [0] = coordinator
-  std::unique_ptr<ThreadPool> pool_;
-  std::function<Duration()> lookahead_fn_;
-  Duration lookahead_{Duration::nanoseconds(1)};
-  bool lookahead_valid_{false};
-  std::exception_ptr pending_exception_;
-  std::mutex exception_mutex_;
+  bool sharded_{false};  // lint: ckpt-skip(engine layout; the capture is shard-invariant)
+  std::vector<std::uint32_t> queue_of_lane_;  // lint: ckpt-skip(engine layout: lane -> queue)
+  std::vector<std::unique_ptr<ExecContext>> contexts_;  // lint: ckpt-skip(engine layout)
+  std::unique_ptr<ThreadPool> pool_;  // lint: ckpt-skip(engine workers)
+  std::function<Duration()> lookahead_fn_;  // lint: ckpt-skip(callback wiring)
+  Duration lookahead_{Duration::nanoseconds(1)};  // lint: ckpt-skip(recomputed per window)
+  bool lookahead_valid_{false};  // lint: ckpt-skip(recomputed per window)
+  std::exception_ptr pending_exception_;  // lint: ckpt-skip(error transport)
+  std::mutex exception_mutex_;  // lint: ckpt-skip(error transport)
 };
 
 }  // namespace aquamac

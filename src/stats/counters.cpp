@@ -1,7 +1,5 @@
 #include "stats/counters.hpp"
 
-#include <algorithm>
-
 #include "sim/checkpoint.hpp"
 
 namespace aquamac {
@@ -17,88 +15,8 @@ std::uint64_t MacCounters::control_bits_sent() const {
   return sum;
 }
 
-// lint: stats-site(MacCounters)
-MacCounters& MacCounters::operator+=(const MacCounters& o) {
-  for (std::size_t i = 0; i < kFrameTypeCount; ++i) {
-    frames_sent[i] += o.frames_sent[i];
-    bits_sent[i] += o.bits_sent[i];
-    frames_received[i] += o.frames_received[i];
-  }
-  retransmitted_frames += o.retransmitted_frames;
-  retransmitted_bits += o.retransmitted_bits;
-  piggyback_info_bits += o.piggyback_info_bits;
-  rx_collisions += o.rx_collisions;
-  packets_offered += o.packets_offered;
-  bits_offered += o.bits_offered;
-  packets_delivered += o.packets_delivered;
-  bits_delivered += o.bits_delivered;
-  packets_sent_ok += o.packets_sent_ok;
-  packets_dropped += o.packets_dropped;
-  duplicate_deliveries += o.duplicate_deliveries;
-  handshake_attempts += o.handshake_attempts;
-  handshake_successes += o.handshake_successes;
-  contention_losses += o.contention_losses;
-  extra_attempts += o.extra_attempts;
-  extra_successes += o.extra_successes;
-  total_delivery_latency += o.total_delivery_latency;
-  latency_samples += o.latency_samples;
-  last_delivery_time = std::max(last_delivery_time, o.last_delivery_time);
-  return *this;
-}
-
-// lint: stats-site(MacCounters)
-void MacCounters::save_state(StateWriter& writer) const {
-  for (std::size_t i = 0; i < kFrameTypeCount; ++i) {
-    writer.write_u64(frames_sent[i]);
-    writer.write_u64(bits_sent[i]);
-    writer.write_u64(frames_received[i]);
-  }
-  writer.write_u64(retransmitted_frames);
-  writer.write_u64(retransmitted_bits);
-  writer.write_u64(piggyback_info_bits);
-  writer.write_u64(rx_collisions);
-  writer.write_u64(packets_offered);
-  writer.write_u64(bits_offered);
-  writer.write_u64(packets_delivered);
-  writer.write_u64(bits_delivered);
-  writer.write_u64(packets_sent_ok);
-  writer.write_u64(packets_dropped);
-  writer.write_u64(duplicate_deliveries);
-  writer.write_u64(handshake_attempts);
-  writer.write_u64(handshake_successes);
-  writer.write_u64(contention_losses);
-  writer.write_u64(extra_attempts);
-  writer.write_u64(extra_successes);
-  writer.write_duration(total_delivery_latency);
-  writer.write_u64(latency_samples);
-  writer.write_time(last_delivery_time);
-}
-
-void MacCounters::restore_state(StateReader& reader) {
-  for (std::size_t i = 0; i < kFrameTypeCount; ++i) {
-    frames_sent[i] = reader.read_u64();
-    bits_sent[i] = reader.read_u64();
-    frames_received[i] = reader.read_u64();
-  }
-  retransmitted_frames = reader.read_u64();
-  retransmitted_bits = reader.read_u64();
-  piggyback_info_bits = reader.read_u64();
-  rx_collisions = reader.read_u64();
-  packets_offered = reader.read_u64();
-  bits_offered = reader.read_u64();
-  packets_delivered = reader.read_u64();
-  bits_delivered = reader.read_u64();
-  packets_sent_ok = reader.read_u64();
-  packets_dropped = reader.read_u64();
-  duplicate_deliveries = reader.read_u64();
-  handshake_attempts = reader.read_u64();
-  handshake_successes = reader.read_u64();
-  contention_losses = reader.read_u64();
-  extra_attempts = reader.read_u64();
-  extra_successes = reader.read_u64();
-  total_delivery_latency = reader.read_duration();
-  latency_samples = reader.read_u64();
-  last_delivery_time = reader.read_time();
+void MacCounters::visit_state(StateArchive& ar) {
+  for_each_field([&ar](auto, auto& field) { ar(field); }, *this);
 }
 
 }  // namespace aquamac

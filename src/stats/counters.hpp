@@ -5,16 +5,17 @@
 // ratio (control + maintenance + retransmission cost relative to S-FAMA)
 // is computed from first principles rather than estimated.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "phy/frame.hpp"
 #include "util/time.hpp"
 
 namespace aquamac {
 
-class StateReader;
-class StateWriter;
+class StateArchive;
 
 inline constexpr std::size_t kFrameTypeCount = 11;
 
@@ -22,7 +23,27 @@ inline constexpr std::size_t kFrameTypeCount = 11;
   return static_cast<std::size_t>(t);
 }
 
-// lint: stats-class(merged by operator+=, checkpointed by save_state)
+/// Merge rule of a counter in a field list: summed across nodes, or the
+/// maximum (the last delivery time, the worst queue occupancy).
+inline constexpr struct SumTag {} kSum{};
+inline constexpr struct MaxTag {} kMax{};
+
+/// Folds `from` into `into` field by field, following
+/// Counters::for_each_field and each field's merge rule.
+template <class Counters>
+Counters& merge_counters(Counters& into, const Counters& from) {
+  Counters::for_each_field(
+      [](auto rule, auto& field, const auto& other) {
+        if constexpr (std::is_same_v<decltype(rule), MaxTag>) {
+          field = std::max(field, other);
+        } else {
+          field += other;
+        }
+      },
+      into, from);
+  return into;
+}
+
 struct MacCounters {
   // --- transmit side, by frame class --------------------------------
   std::array<std::uint64_t, kFrameTypeCount> frames_sent{};
@@ -80,11 +101,41 @@ struct MacCounters {
            bits_sent[frame_type_index(FrameType::kHello)];
   }
 
-  MacCounters& operator+=(const MacCounters& o);
+  MacCounters& operator+=(const MacCounters& o) { return merge_counters(*this, o); }
 
-  /// Checkpoint encoding of every counter field (sim/checkpoint.hpp).
-  void save_state(StateWriter& writer) const;
-  void restore_state(StateReader& reader);
+  /// Checkpoint state: every field, in field-list order.
+  void visit_state(StateArchive& ar);
+
+  /// The one field list: `fn(rule, c.field...)` per field, across any
+  /// number of MacCounters. Drives merging and checkpointing; the
+  /// per-frame-type arrays interleave (sent, bits, received) per type.
+  template <class Fn, class... C>
+  static void for_each_field(Fn&& fn, C&... c) {
+    for (std::size_t i = 0; i < kFrameTypeCount; ++i) {
+      fn(kSum, c.frames_sent[i]...);
+      fn(kSum, c.bits_sent[i]...);
+      fn(kSum, c.frames_received[i]...);
+    }
+    fn(kSum, c.retransmitted_frames...);
+    fn(kSum, c.retransmitted_bits...);
+    fn(kSum, c.piggyback_info_bits...);
+    fn(kSum, c.rx_collisions...);
+    fn(kSum, c.packets_offered...);
+    fn(kSum, c.bits_offered...);
+    fn(kSum, c.packets_delivered...);
+    fn(kSum, c.bits_delivered...);
+    fn(kSum, c.packets_sent_ok...);
+    fn(kSum, c.packets_dropped...);
+    fn(kSum, c.duplicate_deliveries...);
+    fn(kSum, c.handshake_attempts...);
+    fn(kSum, c.handshake_successes...);
+    fn(kSum, c.contention_losses...);
+    fn(kSum, c.extra_attempts...);
+    fn(kSum, c.extra_successes...);
+    fn(kSum, c.total_delivery_latency...);
+    fn(kSum, c.latency_samples...);
+    fn(kMax, c.last_delivery_time...);
+  }
 };
 
 }  // namespace aquamac

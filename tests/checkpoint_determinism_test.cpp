@@ -5,10 +5,8 @@
 // resuming at another (the engine capture is K-invariant). The container
 // must reject truncation, corruption, version skew and trailing bytes
 // with distinct errors, and a tampered payload must fail the replay
-// verification instead of silently skewing results. Warm-started sweeps
-// must reproduce cold sweeps exactly for every jobs value. The suite
-// name is matched by the CI ThreadSanitizer job and the checkpoint-soak
-// step.
+// verification instead of silently skewing results. The suite name is
+// matched by the CI ThreadSanitizer job and the checkpoint-soak step.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +19,6 @@
 #include "harness/checkpoint_run.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
-#include "harness/sweep.hpp"
 #include "mac/mac_factory.hpp"
 #include "sim/checkpoint.hpp"
 #include "stats/trace.hpp"
@@ -319,53 +316,6 @@ TEST(CheckpointDeterminism, MobilityAndFaultScenarioResumes) {
   config.node_failure_fraction = 0.1;
   const auto [full, ckpt] = capture(config, Time::from_seconds(16));
   expect_same_run(full, resume(ckpt, config));
-}
-
-// --- warm-started sweeps ------------------------------------------------
-
-TEST(CheckpointDeterminism, WarmSweepMatchesColdSweepAcrossJobs) {
-  ScenarioConfig base = grid3d_scenario(64, 9);
-  base.sim_time = Duration::seconds(8);
-  const std::vector<MacKind> protocols{MacKind::kEwMac, MacKind::kSFama};
-  const std::vector<double> xs{0.3, 0.9};
-  const ConfigSetter setter = [](ScenarioConfig& config, double x) {
-    config.traffic.offered_load_kbps = x;
-  };
-  constexpr unsigned kReps = 2;
-
-  const auto run = [&](bool warm, unsigned jobs) {
-    ScenarioConfig b = base;
-    b.jobs = jobs;
-    HashTrace trace;
-    b.trace = &trace;
-    SweepResult sweep = warm ? run_sweep_warm(b, protocols, xs, setter, kReps)
-                             : run_sweep(b, protocols, xs, setter, kReps);
-    return std::pair<std::uint64_t, SweepResult>{trace.digest(), std::move(sweep)};
-  };
-
-  const auto [cold_digest, cold] = run(false, 1);
-  for (const auto& [warm_mode, jobs] : std::vector<std::pair<bool, unsigned>>{
-           {true, 1}, {true, 4}, {false, 4}}) {
-    SCOPED_TRACE(std::string{warm_mode ? "warm" : "cold"} + " jobs=" + std::to_string(jobs));
-    const auto [digest, sweep] = run(warm_mode, jobs);
-    EXPECT_EQ(digest, cold_digest);
-    for (const MacKind kind : protocols) {
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        for (unsigned k = 0; k < kReps; ++k) {
-          SCOPED_TRACE(std::string{to_string(kind)} + " x=" + std::to_string(xs[i]) +
-                       " rep=" + std::to_string(k));
-          const RunStats& a = cold.raw.at(kind)[i][k];
-          const RunStats& b = sweep.raw.at(kind)[i][k];
-          EXPECT_EQ(a.packets_offered, b.packets_offered);
-          EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-          EXPECT_EQ(a.throughput_kbps, b.throughput_kbps);
-          EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
-          EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-          EXPECT_EQ(a.fairness_index, b.fairness_index);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ void expect_roundtrip_clean(ScenarioConfig config, double capture_s) {
   hooks.boundaries = {Time::from_seconds(capture_s)};
   hooks.on_boundary = [&](Time) {
     StateWriter writer;
-    network.save_state(writer);
+    save_state(network, writer);
     EXPECT_GT(writer.bytes().size(), 0u);
     EXPECT_NO_THROW(network.verify_restore(writer.bytes()));
     captured = true;
@@ -126,15 +126,15 @@ TEST(CkptFieldCoverage, DvRouterRoundTripsIntoFreshRouter) {
   source.neighbor_down(2);
 
   StateWriter writer;
-  source.save_state(writer);
+  save_state(source, writer);
 
   DvRouter fresh{/*self=*/3, /*is_sink=*/false};
   StateReader reader{writer.bytes()};
-  fresh.restore_state(reader);
+  restore_state(fresh, reader);
   EXPECT_EQ(reader.remaining(), 0u);
 
   StateWriter round_trip;
-  fresh.save_state(round_trip);
+  save_state(fresh, round_trip);
   EXPECT_EQ(round_trip.bytes(), writer.bytes());
   ASSERT_NE(fresh.best(), nullptr);
   EXPECT_EQ(fresh.best()->via, 1u);
@@ -152,18 +152,18 @@ TEST(CkptFieldCoverage, RelayRestoreRejectsReliabilityConfigMismatch) {
   RelayAgent with_arq{bed.sim(), bed.mac(a), a, /*is_sink=*/false, next_hop,
                       /*hop_limit=*/16, arq};
   StateWriter writer;
-  with_arq.save_state(writer);
+  save_state(with_arq, writer);
 
   RelayAgent without_arq{bed.sim(), bed.mac(a), a, /*is_sink=*/false, next_hop,
                          /*hop_limit=*/16, ReliabilityConfig{}};
   StateReader reader{writer.bytes()};
-  EXPECT_THROW(without_arq.restore_state(reader), CheckpointError);
+  EXPECT_THROW(restore_state(without_arq, reader), CheckpointError);
 
   // And the converse: an ARQ-off payload into an ARQ-on agent.
   StateWriter off_writer;
-  without_arq.save_state(off_writer);
+  save_state(without_arq, off_writer);
   StateReader off_reader{off_writer.bytes()};
-  EXPECT_THROW(with_arq.restore_state(off_reader), CheckpointError);
+  EXPECT_THROW(restore_state(with_arq, off_reader), CheckpointError);
 }
 
 // --- MAC event handles: the armed bit is cross-checked on restore ------
@@ -180,15 +180,15 @@ TEST(CkptFieldCoverage, MacRestoreRejectsHandleArmedBitDivergence) {
 
   bed.mac(a).enqueue_packet(b, 1'024);  // arms the attempt event
   StateWriter armed;
-  bed.mac(a).save_state(armed);
+  save_state(bed.mac(a), armed);
 
   StateReader self_reader{armed.bytes()};
-  EXPECT_NO_THROW(bed.mac(a).restore_state(self_reader));
+  EXPECT_NO_THROW(restore_state(bed.mac(a), self_reader));
 
   // The idle node never armed an attempt: restoring the armed payload
   // onto it must fail the cross-check instead of silently desyncing.
   StateReader cross_reader{armed.bytes()};
-  EXPECT_THROW(bed.mac(b).restore_state(cross_reader), CheckpointError);
+  EXPECT_THROW(restore_state(bed.mac(b), cross_reader), CheckpointError);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(Metrics, ComputeRunStatsEquations) {
   // Execution time relative to traffic start.
   EXPECT_NEAR(stats.execution_time_s, 240.0, 1e-12);
   // Eq. (4).
-  EXPECT_NEAR(stats.efficiency_raw(), stats.throughput_kbps / stats.mean_power_mw, 1e-15);
+  EXPECT_NEAR(stats.efficiency_raw, stats.throughput_kbps / stats.mean_power_mw, 1e-15);
 }
 
 TEST(Metrics, ZeroDenominatorsAreSafe) {
@@ -60,7 +60,7 @@ TEST(Metrics, ZeroDenominatorsAreSafe) {
   EXPECT_EQ(stats.throughput_kbps, 0.0);
   EXPECT_EQ(stats.mean_power_mw, 0.0);
   EXPECT_EQ(stats.mean_latency_s, 0.0);
-  EXPECT_EQ(stats.efficiency_raw(), 0.0);
+  EXPECT_EQ(stats.efficiency_raw, 0.0);
 }
 
 TEST(Metrics, CountersAdditive) {

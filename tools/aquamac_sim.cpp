@@ -109,7 +109,7 @@ int run(const CliParser& cli) {
             << "total energy      " << stats.total_energy_j << " J\n"
             << "mean latency      " << stats.mean_latency_s << " s\n"
             << "execution time    " << stats.execution_time_s << " s\n"
-            << "overhead bits     " << stats.overhead_bits() << "\n"
+            << "overhead bits     " << stats.overhead_bits << "\n"
             << "fairness (Jain)   " << stats.fairness_index << "\n"
             << "handshakes        " << stats.handshake_successes << "/"
             << stats.handshake_attempts << "\n"

@@ -15,17 +15,14 @@
 // Rule passes (see docs/static-analysis.md for the full semantics):
 //   rules_lexical  wall-clock, unordered-iter, rng-discipline, rng-root,
 //                  raw-ns (PR 5).
-//   rules_state    ckpt-coverage, trace-kind-exhaustive, stats-symmetric,
+//   rules_state    state-coverage, trace-kind-exhaustive,
 //                  shard-shared-mutable, plus the lint-directive meta
 //                  rule over the `// lint: ...` directive grammar.
 //
 // Suppression / registration grammar:
 //   // aquamac-lint: allow(rule[,rule...]) -- reason        (line + next)
 //   // aquamac-lint: allow-file(rule[,rule...]) -- reason   (whole file)
-//   // lint: ckpt-skip(reason)            exempt one member from ckpt
-//   // lint: stats-skip(reason)           exempt one field from stats
-//   // lint: stats-class(...)             register the class that follows
-//   // lint: stats-site(Class)            register the function that follows
+//   // lint: ckpt-skip(reason)            exempt one member from its state body
 //   // lint: trace-dispatch(Enum)         register an exhaustive dispatch
 //   // lint: trace-skip(kA,kB -- reason)  exempt kinds at a dispatch site
 // `aquamac_lint --list-allows` prints every allow AND directive so the
@@ -188,8 +185,7 @@ int main(int argc, char** argv) {
         if (!d.reason.empty()) {
           std::cout << " -- " << d.reason;
         } else if (d.name == "trace-skip" ||
-                   ((d.name == "ckpt-skip" || d.name == "stats-skip") &&
-                    d.payload.empty())) {
+                   (d.name == "ckpt-skip" && d.payload.empty())) {
           std::cout << " [MISSING REASON]";
         }
         std::cout << "\n";

@@ -10,9 +10,8 @@
 //
 //   lint_core      lexer + allow/directive parsing + symbol passes
 //   rules_lexical  the five PR 5 token-pattern rules
-//   rules_state    the four state-coverage rules (ckpt-coverage,
-//                  trace-kind-exhaustive, stats-symmetric,
-//                  shard-shared-mutable)
+//   rules_state    the three state-coverage rules (state-coverage,
+//                  trace-kind-exhaustive, shard-shared-mutable)
 //   aquamac_lint   driver (file set, report, --list-allows audit)
 //
 // Everything stays dependency-free C++20: the CI container guarantees
@@ -52,12 +51,12 @@ struct Allow {
 
 /// `// lint: <name>(payload -- reason)` state-coverage directive. Unlike
 /// an Allow (which silences findings at a site), a directive changes what
-/// a rule *requires*: ckpt-skip / stats-skip exempt one member from a
-/// completeness contract, stats-class / stats-site / trace-dispatch /
-/// trace-skip register classes and dispatch sites for cross-checking.
+/// a rule *requires*: ckpt-skip exempts one member from a completeness
+/// contract, trace-dispatch / trace-skip register dispatch sites for
+/// cross-checking.
 /// All of them print under --list-allows so the audit stays one command.
 struct Directive {
-  std::string name;     ///< ckpt-skip, stats-class, stats-site, ...
+  std::string name;     ///< ckpt-skip, trace-dispatch, trace-skip
   std::string payload;  ///< text inside the parens, before any `--`
   std::string reason;   ///< text after `--` (exemptions must carry one)
   std::size_t line{0};
@@ -222,7 +221,7 @@ std::set<std::string> identifiers_in_range(const SourceFile& file, std::size_t b
 void run_lexical_rules(const SourceFile& file, const UnorderedSymbols& syms,
                        std::vector<Finding>& out);
 
-/// The four state-coverage rules (cross-file: needs every scanned file
+/// The three state-coverage rules (cross-file: needs every scanned file
 /// plus the merged structural inventory).
 void run_state_rules(const std::vector<SourceFile>& files, const Structure& structure,
                      std::vector<Finding>& out);

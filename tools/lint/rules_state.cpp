@@ -4,20 +4,17 @@
 // aquamac-lint: allow-file(lint-directive) -- the grammar examples in
 // this file's documentation parse as live directives.
 //
-//   ckpt-coverage          every non-static data member of a class that
-//                          declares save_state/restore_state must be
-//                          referenced in both bodies (nested state
-//                          structs included), or carry
+//   state-coverage         every non-static data member of a class that
+//                          defines visit_state (or, lacking one, a
+//                          for_each_field list) must be referenced in
+//                          that one body — following its helpers, nested
+//                          state structs included — or carry
 //                          `// lint: ckpt-skip(reason)`.
 //   trace-kind-exhaustive  every enumerator of an enum registered with
 //                          `// lint: trace-dispatch(Enum)` must appear in
 //                          the dispatch body or be trace-skip'd; losing
 //                          the TraceEventKind registration itself is a
 //                          finding.
-//   stats-symmetric        every field of a `// lint: stats-class` class
-//                          must appear in >= 2 registered
-//                          `// lint: stats-site` bodies (emission AND
-//                          merge), or carry stats-skip.
 //   shard-shared-mutable   mutable statics/globals that are not atomic,
 //                          const or thread_local are shared across PDES
 //                          shards and banned.
@@ -40,8 +37,7 @@ namespace {
 
 const std::set<std::string>& known_directives() {
   static const std::set<std::string> kNames = {
-      "ckpt-skip", "stats-class", "stats-site", "stats-skip", "trace-dispatch",
-      "trace-skip",
+      "ckpt-skip", "trace-dispatch", "trace-skip",
   };
   return kNames;
 }
@@ -88,9 +84,8 @@ class StateLinter {
 
   void run() {
     check_directives();
-    rule_ckpt_coverage();
+    rule_state_coverage();
     rule_trace_kind_exhaustive();
-    rule_stats_symmetric();
     rule_shard_shared_mutable();
   }
 
@@ -122,26 +117,23 @@ class StateLinter {
     return nullptr;
   }
 
-  /// Nearest class definition at or below `line` in `file_index`.
-  [[nodiscard]] const ClassInfo* attached_class(std::size_t file_index,
-                                                std::size_t line) const {
-    const ClassInfo* best = nullptr;
-    for (const ClassInfo& c : structure_.classes) {
-      if (c.file_index != file_index) continue;
-      if (c.line >= line && (best == nullptr || c.line < best->line)) best = &c;
-    }
-    return best;
-  }
-
   /// The skip directive (of `name`) attached to a member declared at
-  /// `line` in `file_index`: same line (trailing comment) or the line
-  /// immediately above.
+  /// `line` in `file_index`: same line (trailing comment) or a stand-alone
+  /// comment on the line immediately above.
   [[nodiscard]] const Directive* member_skip(const std::string& name,
                                              std::size_t file_index,
                                              std::size_t line) const {
-    for (const Directive& d : files_[file_index].directives) {
+    const SourceFile& file = files_[file_index];
+    for (const Directive& d : file.directives) {
       if (d.name != name) continue;
-      if (d.line == line || d.line + 1 == line) return &d;
+      if (d.line == line) return &d;
+      // A directive on the line above counts only when it stands alone:
+      // a trailing one belongs to the member declared on its own line.
+      if (d.line + 1 == line && d.line <= file.raw_lines.size()) {
+        const std::string& text = file.raw_lines[d.line - 1];
+        const std::size_t code = text.find_first_not_of(" \t");
+        if (code != std::string::npos && text.compare(code, 2, "//") == 0) return &d;
+      }
     }
     return nullptr;
   }
@@ -169,58 +161,40 @@ class StateLinter {
         if (!known_directives().contains(d.name)) {
           add(fi, d.line, 1, "lint-directive",
               "unknown lint directive '" + d.name +
-                  "' (known: ckpt-skip, stats-class, stats-site, stats-skip, "
-                  "trace-dispatch, trace-skip)");
+                  "' (known: ckpt-skip, trace-dispatch, trace-skip)");
           continue;
         }
-        const bool is_skip = d.name == "ckpt-skip" || d.name == "stats-skip" ||
-                             d.name == "trace-skip";
-        // ckpt-skip/stats-skip carry the reason as the payload itself when
-        // no `--` is present; either field may satisfy the requirement.
+        // ckpt-skip carries the reason as the payload itself when no `--`
+        // is present; either field may satisfy the requirement.
+        const bool is_skip = d.name == "ckpt-skip" || d.name == "trace-skip";
         if (is_skip && d.reason.empty() && d.payload.empty()) {
           add(fi, d.line, 1, "lint-directive",
               "'" + d.name + "' exemption without a reason: every skip must say why "
               "the member/kind is safe to leave out");
         }
-        if ((d.name == "stats-class" || d.name == "stats-site") &&
-            attached_class_or_function_missing(fi, d)) {
-          // finding emitted inside the helper
-        }
       }
     }
   }
 
-  bool attached_class_or_function_missing(std::size_t fi, const Directive& d) {
-    if (d.name == "stats-class") {
-      if (attached_class(fi, d.line) == nullptr) {
-        add(fi, d.line, 1, "lint-directive",
-            "dangling stats-class directive: no class definition follows it in this file");
-        return true;
-      }
-    } else if (attached_function(fi, d.line) == nullptr) {
-      add(fi, d.line, 1, "lint-directive",
-          "dangling stats-site directive: no function definition follows it in this file");
-      return true;
-    }
-    return false;
-  }
-
-  /// Expands `ids` with the bodies of serialization helpers it names: a
-  /// function is a helper when it takes a `marker` parameter
-  /// (StateWriter/StateReader) and its name already appears in the
-  /// calling body. Transitive, so helpers may call helpers.
-  void expand_serialization_helpers(std::set<std::string>& ids,
-                                    const std::string& marker) const {
+  /// The identifiers of the one state body of `cls`: its visit_state
+  /// definitions (or, lacking one, its for_each_field list), expanded
+  /// transitively through helpers it names — functions taking a
+  /// StateArchive and members of `cls` itself. Another class's
+  /// visit_state (a base-class call) is its own contract, not a helper.
+  [[nodiscard]] std::set<std::string> state_body_identifiers(const ClassInfo& cls,
+                                                             const std::string& method,
+                                                             bool& found_def) const {
+    std::set<std::string> ids = method_body_identifiers(cls, method, found_def);
     std::set<const FunctionDef*> used;
     bool grew = true;
     while (grew) {
       grew = false;
       for (const FunctionDef& fn : structure_.functions) {
-        if (used.contains(&fn) || !ids.contains(fn.name)) continue;
-        const bool takes_marker =
-            std::find(fn.param_tokens.begin(), fn.param_tokens.end(), marker) !=
+        if (used.contains(&fn) || fn.name == "visit_state" || !ids.contains(fn.name)) continue;
+        const bool takes_archive =
+            std::find(fn.param_tokens.begin(), fn.param_tokens.end(), "StateArchive") !=
             fn.param_tokens.end();
-        if (!takes_marker) continue;
+        if (!takes_archive && !qualifier_matches(fn.qualifier, cls.name)) continue;
         used.insert(&fn);
         grew = true;
         const std::set<std::string> body =
@@ -228,23 +202,20 @@ class StateLinter {
         ids.insert(body.begin(), body.end());
       }
     }
+    return ids;
   }
 
-  // ----- ckpt-coverage ------------------------------------------------
-  void rule_ckpt_coverage() {
+  // ----- state-coverage -----------------------------------------------
+  void rule_state_coverage() {
     for (const ClassInfo& cls : structure_.classes) {
-      if (!cls.declared_methods.contains("save_state") ||
-          !cls.declared_methods.contains("restore_state")) {
-        continue;
-      }
-      bool have_save = false;
-      bool have_restore = false;
-      std::set<std::string> save_ids = method_body_identifiers(cls, "save_state", have_save);
-      std::set<std::string> restore_ids =
-          method_body_identifiers(cls, "restore_state", have_restore);
-      if (!have_save || !have_restore) continue;  // defs outside the scan set
-      expand_serialization_helpers(save_ids, "StateWriter");
-      expand_serialization_helpers(restore_ids, "StateReader");
+      const std::string method = cls.declared_methods.contains("visit_state") ? "visit_state"
+                                 : cls.declared_methods.contains("for_each_field")
+                                     ? "for_each_field"
+                                     : "";
+      if (method.empty()) continue;
+      bool found_def = false;
+      const std::set<std::string> ids = state_body_identifiers(cls, method, found_def);
+      if (!found_def) continue;  // definition outside the scan set
 
       // The members under contract: the class's own, plus members of
       // nested state structs reachable through non-exempt member types.
@@ -269,8 +240,8 @@ class StateLinter {
             continue;
           }
           if (included.contains(nested.name)) continue;
-          if (nested.declared_methods.contains("save_state") &&
-              nested.declared_methods.contains("restore_state")) {
+          if (nested.declared_methods.contains("visit_state") ||
+              nested.declared_methods.contains("for_each_field")) {
             continue;  // checked as its own contract
           }
           if (!frontier.contains(std::string(nested.unqualified()))) continue;
@@ -287,16 +258,12 @@ class StateLinter {
         const MemberInfo& m = *c.member;
         if (m.is_reference || m.is_pointer || m.is_const) continue;  // wiring/config
         if (member_skip("ckpt-skip", m.file_index, m.line) != nullptr) continue;
-        const bool in_save = save_ids.contains(m.name);
-        const bool in_restore = restore_ids.contains(m.name);
-        if (in_save && in_restore) continue;
-        std::string where = !in_save && !in_restore ? "save_state or restore_state"
-                            : !in_save             ? "save_state"
-                                                   : "restore_state";
-        add(m.file_index, m.line, 1, "ckpt-coverage",
-            "member '" + m.name + "' of '" + c.owner + "' is not referenced in " + where +
-                "; serialize it or annotate `// lint: ckpt-skip(reason)` "
-                "(forgotten members silently break resume bit-identity)");
+        if (ids.contains(m.name)) continue;
+        add(m.file_index, m.line, 1, "state-coverage",
+            "member '" + m.name + "' of '" + c.owner + "' is not referenced in " + cls.name +
+                "::" + method + "; visit it or annotate `// lint: ckpt-skip(reason)` "
+                "(a forgotten member silently breaks resume bit-identity or drops out of "
+                "merges and reports)");
       }
     }
   }
@@ -352,53 +319,6 @@ class StateLinter {
           "enum 'TraceEventKind' has no registered `// lint: trace-dispatch` site; "
           "annotate the auditor dispatch and the trace serialization so "
           "exhaustiveness stays machine-checked");
-    }
-  }
-
-  // ----- stats-symmetric ----------------------------------------------
-  void rule_stats_symmetric() {
-    // Registered sites, keyed by the class name they claim to cover.
-    std::map<std::string, std::vector<const FunctionDef*>> sites;
-    for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-      for (const Directive& d : files_[fi].directives) {
-        if (d.name != "stats-site") continue;
-        const FunctionDef* fn = attached_function(fi, d.line);
-        if (fn == nullptr) continue;  // reported by check_directives
-        for (const std::string& cls : split_payload(d.payload)) {
-          sites[cls].push_back(fn);
-        }
-      }
-    }
-    for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-      for (const Directive& d : files_[fi].directives) {
-        if (d.name != "stats-class") continue;
-        const ClassInfo* cls = attached_class(fi, d.line);
-        if (cls == nullptr) continue;  // reported by check_directives
-        const std::string key{cls->unqualified()};
-        const std::vector<const FunctionDef*>& fns = sites[key];
-        if (fns.size() < 2) {
-          add(fi, cls->line, 1, "stats-symmetric",
-              "stats class '" + key + "' has " + std::to_string(fns.size()) +
-                  " registered stats-site(s); it needs at least two (an emission "
-                  "site and a merge/accumulate site) so fields cannot drop out of "
-                  "either path");
-          continue;
-        }
-        for (const FunctionDef* fn : fns) {
-          const std::set<std::string> body =
-              identifiers_in_range(files_[fn->file_index], fn->body_begin, fn->body_end);
-          for (const MemberInfo& m : cls->members) {
-            if (m.is_reference || m.is_pointer || m.is_const) continue;
-            if (member_skip("stats-skip", m.file_index, m.line) != nullptr) continue;
-            if (body.contains(m.name)) continue;
-            add(fn->file_index, fn->line, 1, "stats-symmetric",
-                "field '" + m.name + "' of stats class '" + key +
-                    "' is not referenced in registered site '" + fn->display() +
-                    "'; emit/merge it or annotate `// lint: stats-skip(reason)` on "
-                    "the field");
-          }
-        }
-      }
     }
   }
 

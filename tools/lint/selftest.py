@@ -39,20 +39,22 @@ CASES = [
     ("mac/raw_ns_bad.cpp", 1, ["[raw-ns]", "count_ns", "guard_ns"], []),
     ("mac/raw_ns_good.cpp", 0, ["0 finding(s)"], ["[raw-ns]"]),
     ("raw_ns_outside_scope.cpp", 0, ["0 finding(s)"], ["[raw-ns]"]),
-    # ckpt-coverage
-    ("ckpt_coverage_bad.cpp", 1,
-     ["[ckpt-coverage]",
-      "member 'head_' of 'Queue' is not referenced in restore_state",
-      "member 'tail_' of 'Queue' is not referenced in save_state",
-      "member 'highwater_' of 'Queue' is not referenced in save_state or restore_state",
-      "member 'deadline' of 'Queue::Slot'"], []),
-    ("ckpt_coverage_good.cpp", 0, ["0 finding(s)"], ["[ckpt-coverage]"]),
-    # Mutation self-test: the good corpus with one save-side reference
+    # state-coverage
+    ("state_coverage_bad.cpp", 1,
+     ["[state-coverage]",
+      "member 'highwater_' of 'Queue' is not referenced in Queue::visit_state",
+      "member 'drift_' of 'Queue'",
+      "member 'deadline' of 'Queue::Slot'",
+      "member 'received' of 'Tally' is not referenced in Tally::for_each_field"],
+     ["'head_'", "'limit_'", "'seq'", "'sent'"]),
+    ("state_coverage_good.cpp", 0, ["0 finding(s)"], ["[state-coverage]"]),
+    # Mutation self-test: the good corpus with one member reference
     # deleted must fire on exactly that member.
-    ("ckpt_coverage_mutation.cpp", 1,
-     ["[ckpt-coverage]",
-      "member 'depth_' of 'Channel' is not referenced in save_state"],
-     ["clock_", "ticks", "skew", "epoch_", "scratch_", "limit_"]),
+    ("state_coverage_mutation.cpp", 1,
+     ["[state-coverage]",
+      "member 'depth_' of 'Channel' is not referenced in Channel::visit_state",
+      "1 finding(s)"],
+     ["clock_", "ticks", "skew", "epoch_", "scratch_", "limit_", "sent", "received"]),
     # trace-kind-exhaustive
     ("trace_exhaustive_bad.cpp", 1,
      ["[trace-kind-exhaustive]", "TraceEventKind::kRxLost",
@@ -61,12 +63,6 @@ CASES = [
      ["0 finding(s)"], ["[trace-kind-exhaustive]"]),
     ("trace_unregistered_bad.cpp", 1,
      ["[trace-kind-exhaustive]", "no registered"], []),
-    # stats-symmetric
-    ("stats_symmetric_bad.cpp", 1,
-     ["[stats-symmetric]", "'Lonely' has 1 registered stats-site(s)",
-      "field 'received' of stats class 'Skewed'", "write_skewed_json"],
-     ["'sent'"]),
-    ("stats_symmetric_good.cpp", 0, ["0 finding(s)"], ["[stats-symmetric]"]),
     # shard-shared-mutable
     ("shard_shared_bad.cpp", 1,
      ["[shard-shared-mutable]", "event_budget", "Dispatcher::sequence_",
@@ -75,8 +71,7 @@ CASES = [
     # lint-directive meta-rule
     ("directive_bad.cpp", 1,
      ["[lint-directive]", "unknown lint directive 'frobnicate'",
-      "'ckpt-skip' exemption without a reason",
-      "dangling stats-class", "dangling stats-site"], []),
+      "'ckpt-skip' exemption without a reason"], []),
 ]
 
 

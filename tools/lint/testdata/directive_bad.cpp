@@ -1,15 +1,9 @@
-// Known-bad lint-directive corpus: an unknown directive name, a skip
-// exemption without a reason, and dangling stats-class / stats-site
-// registrations with nothing to attach to. Four findings expected.
+// Known-bad lint-directive corpus: an unknown directive name and a skip
+// exemption without a reason. Two findings expected.
 namespace aquamac {
 
 // lint: frobnicate(everything)
 // lint: ckpt-skip()
 long configure();
 
-// lint: stats-class(no class follows this)
-long configure() { return 0; }
-
 }  // namespace aquamac
-
-// lint: stats-site(Nothing)
