@@ -14,12 +14,17 @@
 //     on a single-core host the speedup is purely algorithmic (K-times
 //     smaller heaps), not parallel, and should be read against it;
 //   - a per-phase breakdown of the serial run (channel delivery vs MAC
-//     processing) via the PhaseHook seam (bench_util.hpp PhaseProfiler).
+//     processing) via the PhaseHook seam (bench_util.hpp PhaseProfiler);
+//   - the serial run's Network construction wall (`build_s`) and the
+//     process's peak RSS after N's runs (`peak_rss_mb`; a high-water mark,
+//     so with N ascending it is the largest network's footprint so far).
 //
 // Track speedup_largest_n / sharded_speedup_largest_n across commits.
 //
 //   AQUAMAC_FAST=1 ./bench_scale      # N <= 200 only (smoke)
 //   AQUAMAC_SCALE_MAC=sfama ./bench_scale
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -51,6 +56,8 @@ struct Cell {
   std::uint64_t sharded_digest{0};
   double channel_phase_s{0.0};
   double mac_phase_s{0.0};
+  double build_s{0.0};
+  double peak_rss_mb{0.0};
   bool brute_run{false};
 
   [[nodiscard]] double index_speedup() const {
@@ -67,8 +74,16 @@ struct Cell {
 
 struct RunResult {
   double wall_s{0.0};
+  double build_s{0.0};  ///< Network construction, included in wall_s
   std::uint64_t digest{0};
 };
+
+/// Peak resident set size of this process so far (Linux reports KiB).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
 
 /// One full simulation with the trace digested; an optional profiler
 /// (serial runs only) is installed on the channel and every modem.
@@ -79,6 +94,7 @@ RunResult timed_run(ScenarioConfig config, unsigned shards, bench::PhaseProfiler
   const auto begin = std::chrono::steady_clock::now();
   Simulator sim{config.logger};
   Network network{sim, config};
+  const std::chrono::duration<double> build = std::chrono::steady_clock::now() - begin;
   if (profiler != nullptr) {
     network.channel().set_phase_hook(profiler);
     for (std::size_t i = 0; i < config.node_count; ++i) {
@@ -87,7 +103,7 @@ RunResult timed_run(ScenarioConfig config, unsigned shards, bench::PhaseProfiler
   }
   (void)network.run();
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - begin;
-  return {wall.count(), hash.digest()};
+  return {wall.count(), build.count(), hash.digest()};
 }
 
 }  // namespace
@@ -112,7 +128,7 @@ int main() {
   std::cout << "mac " << to_string(mac) << ", grid3d, 60 s horizon, mobility on, "
             << cores << " core(s)\n";
   std::cout << "     N     serial s  shards" << kShards << " s   shard-x   index-off s   index-x"
-            << "   chan s    mac s   identical\n";
+            << "   chan s    mac s   build s   rss MB   identical\n";
 
   std::vector<Cell> cells;
   bool all_identical = true;
@@ -128,6 +144,7 @@ int main() {
     const RunResult serial = timed_run(config, /*shards=*/1, &profiler);
     cell.indexed_wall_s = serial.wall_s;
     cell.indexed_digest = serial.digest;
+    cell.build_s = serial.build_s;
     cell.channel_phase_s = profiler.seconds(SimPhase::kChannelDelivery);
     cell.mac_phase_s = profiler.seconds(SimPhase::kMacProcessing);
 
@@ -144,6 +161,8 @@ int main() {
       cell.brute_digest = result.digest;
     }
 
+    cell.peak_rss_mb = peak_rss_mb();
+
     const bool identical = cell.index_identical() && cell.sharded_identical();
     all_identical = all_identical && identical;
     std::cout.width(6);
@@ -154,8 +173,8 @@ int main() {
     } else {
       std::cout << "(skipped: O(N^2) above N=" << kBruteMaxNodes << ")   ";
     }
-    std::cout << cell.channel_phase_s << "   " << cell.mac_phase_s << "   "
-              << (identical ? "yes" : "NO") << "\n";
+    std::cout << cell.channel_phase_s << "   " << cell.mac_phase_s << "   " << cell.build_s
+              << "   " << cell.peak_rss_mb << "   " << (identical ? "yes" : "NO") << "\n";
     cells.push_back(cell);
   }
 
@@ -209,6 +228,8 @@ int main() {
       series("sharded_speedup", [](const Cell& c) { return c.sharded_speedup(); });
       series("channel_phase_s", [](const Cell& c) { return c.channel_phase_s; });
       series("mac_phase_s", [](const Cell& c) { return c.mac_phase_s; });
+      series("build_s", [](const Cell& c) { return c.build_s; });
+      series("peak_rss_mb", [](const Cell& c) { return c.peak_rss_mb; });
       json.end_object();
       json.end_object();
       os << "\n";

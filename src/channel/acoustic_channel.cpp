@@ -52,16 +52,21 @@ AcousticChannel::AcousticChannel(Simulator& sim, const PropagationModel& propaga
   }
 }
 
+void AcousticChannel::reserve(std::size_t modem_count) {
+  if (!modems_.empty()) throw std::logic_error("reserve() must precede the first attach()");
+  modems_.reserve(modem_count);
+  attached_ids_.reserve(modem_count);
+  if (config_.cache_paths) path_cache_.size_for(modem_count);
+}
+
 void AcousticChannel::attach(AcousticModem& modem) {
-  for (const AcousticModem* existing : modems_) {
-    if (existing == &modem || existing->id() == modem.id()) {
-      throw std::logic_error("modem attached twice / duplicate id");
-    }
+  // A modem attached twice repeats its own id, so one id check covers both.
+  if (!attached_ids_.insert(modem.id()).second) {
+    throw std::logic_error("modem attached twice / duplicate id");
   }
   modems_.push_back(&modem);
   modem.set_channel(this);
   if (config_.use_spatial_index) spatial_index_.insert(modem);
-  if (config_.cache_paths) path_cache_.ensure_capacity(modem.id());
 }
 
 void AcousticChannel::on_position_changed(const AcousticModem& modem) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <unordered_set>
 #include <vector>
 
 #include "channel/noise.hpp"
@@ -104,7 +105,14 @@ class AcousticChannel {
   AcousticChannel(const AcousticChannel&) = delete;
   AcousticChannel& operator=(const AcousticChannel&) = delete;
 
+  /// Sizes the channel for `modem_count` modems with ids
+  /// 0..modem_count-1, sizing the path-cache table once (none above
+  /// PropagationCache::kMaxCachedId + 1). Must precede the first attach;
+  /// a channel never reserved runs uncached.
+  void reserve(std::size_t modem_count);
+
   /// Registers a modem on the medium (modem.set_channel is called).
+  /// Throws std::logic_error for a modem attached twice or a taken id.
   void attach(AcousticModem& modem);
 
   [[nodiscard]] std::size_t modem_count() const { return modems_.size(); }
@@ -150,6 +158,8 @@ class AcousticChannel {
   /// Propagation-cache effectiveness counters (diagnostics / benches).
   [[nodiscard]] std::uint64_t path_cache_hits() const { return path_cache_.hits(); }
   [[nodiscard]] std::uint64_t path_cache_misses() const { return path_cache_.misses(); }
+  /// Direct-path table entries (see PropagationCache::table_entries).
+  [[nodiscard]] std::size_t path_cache_entries() const { return path_cache_.table_entries(); }
 
   /// Radius beyond which no attached modem can register even as
   /// interference; sizes the spatial-index cells. kRangeBased: the
@@ -180,6 +190,7 @@ class AcousticChannel {
   double effective_floor_db_;
   double interference_cutoff_m_;
   std::vector<AcousticModem*> modems_;
+  std::unordered_set<NodeId> attached_ids_;
   SpatialReceiverIndex spatial_index_;
   std::vector<Workspace> workspaces_;
   PropagationCache path_cache_;

@@ -1,31 +1,11 @@
 #include "channel/propagation_cache.hpp"
 
-#include <algorithm>
-
 namespace aquamac {
 
-void PropagationCache::ensure_capacity(NodeId max_id) {
-  if (max_id > kMaxCachedId) return;
-  const std::size_t need = static_cast<std::size_t>(max_id) + 1;
-  if (need <= dim_) return;
-  // Grow geometrically (attach is called once per modem, so O(log n)
-  // rebuilds total), clamped at the ceiling; the rebuild re-indexes
-  // existing entries into the wider table.
-  const std::size_t new_dim =
-      std::min<std::size_t>(std::max<std::size_t>(need, dim_ == 0 ? 8 : dim_ * 2),
-                            static_cast<std::size_t>(kMaxCachedId) + 1);
-  auto rebuild = [&](std::vector<Entry>& table) {
-    std::vector<Entry> wider(new_dim * new_dim);
-    for (std::size_t f = 0; f < dim_; ++f) {
-      for (std::size_t t = 0; t < dim_; ++t) {
-        wider[f * new_dim + t] = table[f * dim_ + t];
-      }
-    }
-    table = std::move(wider);
-  };
-  rebuild(direct_);
-  if (cache_echo_) rebuild(echo_);
-  dim_ = new_dim;
+void PropagationCache::size_for(std::size_t node_count) {
+  dim_ = node_count <= static_cast<std::size_t>(kMaxCachedId) + 1 ? node_count : 0;
+  direct_.assign(dim_ * dim_, Entry{});
+  if (cache_echo_) echo_.assign(dim_ * dim_, Entry{});
 }
 
 template <typename Compute>

@@ -27,10 +27,10 @@ class PropagationCache {
   PropagationCache(const PropagationModel& model, double freq_khz, bool cache_echo = false)
       : model_{model}, freq_khz_{freq_khz}, cache_echo_{cache_echo} {}
 
-  /// Grows the pair tables to cover modem ids up to `max_id`. Ids beyond
-  /// kMaxCachedId are served uncached (the flat O(n^2) table would be too
-  /// big); Network assigns dense ids so real runs always cache.
-  void ensure_capacity(NodeId max_id);
+  /// Sizes the pair tables once for modem ids 0..node_count-1. Above
+  /// kMaxCachedId + 1 nodes no table is allocated at all and every path
+  /// is computed fresh; ids outside the table are always served uncached.
+  void size_for(std::size_t node_count);
 
   /// Direct path from `from` to `to`, memoized per position epochs.
   [[nodiscard]] PropagationModel::Path direct(const AcousticModem& from,
@@ -47,9 +47,13 @@ class PropagationCache {
     return misses_.load(std::memory_order_relaxed);
   }
 
-  /// Flat-table ceiling: up to (kMaxCachedId+1)^2 entries per table
-  /// (~170 MB at 40 B/entry), only ever reached by runs that actually
-  /// deploy that many nodes.
+  /// Entries in the direct-path table: node_count^2 at or below the
+  /// ceiling, 0 above it or before size_for (diagnostics / tests).
+  [[nodiscard]] std::size_t table_entries() const { return direct_.size(); }
+
+  /// Flat-table ceiling: (kMaxCachedId+1)^2 entries per table is ~170 MB
+  /// at 40 B/entry. Larger networks run uncached; docs/simulator.md
+  /// ("Propagation cache") gives the measured reason.
   static constexpr NodeId kMaxCachedId = 2'047;
 
  private:

@@ -1,21 +1,12 @@
 #include "channel/spatial_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace aquamac {
 
 SpatialReceiverIndex::SpatialReceiverIndex(double cell_size_m)
     : cell_size_m_{std::max(cell_size_m, 1.0)} {}
-
-SpatialReceiverIndex::CellKey SpatialReceiverIndex::key_for(const Vec3& pos) const {
-  return CellKey{
-      static_cast<std::int64_t>(std::floor(pos.x / cell_size_m_)),
-      static_cast<std::int64_t>(std::floor(pos.y / cell_size_m_)),
-      static_cast<std::int64_t>(std::floor(pos.z / cell_size_m_)),
-  };
-}
 
 void SpatialReceiverIndex::bin(std::size_t ordinal, const CellKey& cell) {
   cells_[cell].push_back(ordinal);
@@ -42,7 +33,7 @@ void SpatialReceiverIndex::insert(AcousticModem& modem) {
   const std::size_t ordinal = records_.size();
   ordinals_.emplace(&modem, ordinal);
   records_.push_back(Record{&modem, CellKey{}, 0});
-  bin(ordinal, key_for(modem.position()));
+  bin(ordinal, key_for(modem.position(), cell_size_m_));
 }
 
 void SpatialReceiverIndex::refresh(const AcousticModem& modem) {
@@ -50,7 +41,7 @@ void SpatialReceiverIndex::refresh(const AcousticModem& modem) {
   if (it == ordinals_.end()) return;
   Record& record = records_[it->second];
   if (record.epoch == modem.position_epoch()) return;
-  const CellKey cell = key_for(modem.position());
+  const CellKey cell = key_for(modem.position(), cell_size_m_);
   if (cell == record.cell) {
     // Moved within its cell: only the epoch stamp needs updating.
     record.epoch = modem.position_epoch();
@@ -66,16 +57,9 @@ void SpatialReceiverIndex::candidates(const Vec3& center,
                                       std::vector<std::size_t>& scratch) const {
   out.clear();
   scratch.clear();
-  const CellKey base = key_for(center);
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      for (std::int64_t dz = -1; dz <= 1; ++dz) {
-        const auto it = cells_.find(CellKey{base.x + dx, base.y + dy, base.z + dz});
-        if (it == cells_.end()) continue;
-        scratch.insert(scratch.end(), it->second.begin(), it->second.end());
-      }
-    }
-  }
+  for_each_bucket_around(cells_, key_for(center, cell_size_m_), [&](const auto& bucket) {
+    scratch.insert(scratch.end(), bucket.begin(), bucket.end());
+  });
   // Ordinal order == attach order: the channel's brute-force visitation
   // order, which the determinism contract requires.
   std::sort(scratch.begin(), scratch.end());

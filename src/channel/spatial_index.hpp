@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "phy/modem.hpp"
+#include "util/cell_grid.hpp"
 #include "util/vec3.hpp"
 
 namespace aquamac {
@@ -63,29 +64,12 @@ class SpatialReceiverIndex {
   [[nodiscard]] std::uint64_t rebins() const { return rebins_; }
 
  private:
-  struct CellKey {
-    std::int64_t x{0};
-    std::int64_t y{0};
-    std::int64_t z{0};
-    bool operator==(const CellKey&) const = default;
-  };
-  struct CellKeyHash {
-    std::size_t operator()(const CellKey& key) const {
-      std::uint64_t h = 1469598103934665603ULL;
-      for (const std::int64_t v : {key.x, key.y, key.z}) {
-        h ^= static_cast<std::uint64_t>(v);
-        h *= 1099511628211ULL;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
   struct Record {
     AcousticModem* modem{nullptr};
     CellKey cell{};
     std::uint64_t epoch{0};
   };
 
-  [[nodiscard]] CellKey key_for(const Vec3& pos) const;
   void bin(std::size_t ordinal, const CellKey& cell);
   void unbin(std::size_t ordinal, const CellKey& cell);
 
@@ -94,7 +78,7 @@ class SpatialReceiverIndex {
   std::vector<Record> records_;
   std::unordered_map<const AcousticModem*, std::size_t> ordinals_;
   /// Cell -> ordinals of the modems currently binned there.
-  std::unordered_map<CellKey, std::vector<std::size_t>, CellKeyHash> cells_;
+  CellMap<std::vector<std::size_t>> cells_;
   std::uint64_t rebins_{0};
 };
 

@@ -35,8 +35,10 @@ ScenarioConfig scale_scenario_base(std::size_t node_count, std::uint64_t seed) {
   config.traffic.offered_load_kbps = 0.2 * static_cast<double>(node_count);
 
   // The refracting channel the paper's own evaluation ran on (via
-  // Bellhop). Its eigenray solve is the expensive per-pair operation that
-  // mobility keeps invalidating, which is what receiver pruning is for.
+  // Bellhop). Its eigenray solve is the expensive per-pair operation.
+  // Above the path cache's node ceiling no pair is cached, so every
+  // transmission pays it once per candidate receiver, which is what
+  // receiver pruning is for.
   config.propagation = PropagationKind::kBellhopLite;
 
   config.enable_mobility = true;

@@ -48,6 +48,7 @@ Network::Network(Simulator& sim, const ScenarioConfig& config)
   propagation_ = make_propagation(config_);
   reception_ = make_reception(config_);
   channel_ = std::make_unique<AcousticChannel>(sim_, *propagation_, config_.channel);
+  channel_->reserve(config_.node_count);
   AQUAMAC_LOG(config_.logger, LogLevel::kInfo)
       << "channel: interference cutoff " << channel_->interference_cutoff_m()
       << " m, effective floor " << channel_->effective_interference_floor_db()

@@ -1,7 +1,10 @@
 #include "net/routing.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+
+#include "util/cell_grid.hpp"
 
 namespace aquamac {
 
@@ -25,15 +28,16 @@ UphillRouter::UphillRouter(const std::vector<Vec3>& positions, double range_m) {
   candidates_.resize(positions.size());
   depths_.reserve(positions.size());
   for (const Vec3& p : positions) depths_.push_back(p.z);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = 0; j < positions.size(); ++j) {
-      if (i == j) continue;
-      if (positions[j].z < positions[i].z &&
-          positions[i].distance_to(positions[j]) <= range_m) {
-        candidates_[i].push_back(static_cast<NodeId>(j));
-      }
+  // Cells a hair wider than the range, so rounding in the key division
+  // never puts an in-range pair two cells apart. The outer index j
+  // ascends, so candidate lists fill in ascending id order: the order
+  // pick_destination's draws and shallowest_candidate's tie-breaks use.
+  const double cell = std::max(range_m, 1.0) * (1.0 + 1e-9);
+  for_each_nearby_pair(positions, cell, [&](std::size_t j, std::uint32_t i) {
+    if (positions[j].z < positions[i].z && positions[i].distance_to(positions[j]) <= range_m) {
+      candidates_[i].push_back(static_cast<NodeId>(j));
     }
-  }
+  });
 }
 
 std::optional<NodeId> UphillRouter::pick_destination(NodeId src, Rng& rng) const {

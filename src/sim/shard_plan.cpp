@@ -4,42 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <tuple>
+
+#include "util/cell_grid.hpp"
 
 namespace aquamac {
-
-namespace {
-
-struct CellKey {
-  std::int64_t x{0};
-  std::int64_t y{0};
-  std::int64_t z{0};
-  bool operator==(const CellKey&) const = default;
-  bool operator<(const CellKey& o) const {
-    if (x != o.x) return x < o.x;
-    if (y != o.y) return y < o.y;
-    return z < o.z;
-  }
-};
-
-struct CellKeyHash {
-  std::size_t operator()(const CellKey& key) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::int64_t v : {key.x, key.y, key.z}) {
-      h ^= static_cast<std::uint64_t>(v);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-CellKey key_for(const Vec3& pos, double cell) {
-  return CellKey{static_cast<std::int64_t>(std::floor(pos.x / cell)),
-                 static_cast<std::int64_t>(std::floor(pos.y / cell)),
-                 static_cast<std::int64_t>(std::floor(pos.z / cell))};
-}
-
-}  // namespace
 
 ShardPlan ShardPlan::build(const std::vector<Vec3>& positions, unsigned shards,
                            double cell_size_m) {
@@ -55,14 +24,13 @@ ShardPlan ShardPlan::build(const std::vector<Vec3>& positions, unsigned shards,
   // contiguous spatial slabs; the id tiebreak keeps the order a pure
   // function of the positions.
   std::vector<std::size_t> order(positions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::vector<CellKey> cells(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
+    order[i] = i;
     cells[i] = key_for(positions[i], plan.cell_size_m_);
   }
   std::sort(order.begin(), order.end(), [&cells](std::size_t a, std::size_t b) {
-    if (!(cells[a] == cells[b])) return cells[a] < cells[b];
-    return a < b;
+    return std::tie(cells[a], a) < std::tie(cells[b], b);
   });
 
   // Deal whole cells to shards, advancing once the running count reaches
@@ -93,28 +61,11 @@ double ShardPlan::min_cross_shard_distance(const std::vector<Vec3>& positions) c
   if (shards_ <= 1) return std::numeric_limits<double>::infinity();
 
   const double cell = cell_size_m_;
-  std::unordered_map<CellKey, std::vector<std::uint32_t>, CellKeyHash> bins;
-  bins.reserve(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    bins[key_for(positions[i], cell)].push_back(static_cast<std::uint32_t>(i));
-  }
-
   double best_sq = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const CellKey center = key_for(positions[i], cell);
-    for (std::int64_t dx = -1; dx <= 1; ++dx) {
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        for (std::int64_t dz = -1; dz <= 1; ++dz) {
-          const auto it = bins.find(CellKey{center.x + dx, center.y + dy, center.z + dz});
-          if (it == bins.end()) continue;
-          for (const std::uint32_t j : it->second) {
-            if (j <= i || shard_of_node_[j] == shard_of_node_[i]) continue;
-            best_sq = std::min(best_sq, (positions[i] - positions[j]).norm_sq());
-          }
-        }
-      }
-    }
-  }
+  for_each_nearby_pair(positions, cell, [&](std::size_t i, std::uint32_t j) {
+    if (j <= i || shard_of_node_[j] == shard_of_node_[i]) return;
+    best_sq = std::min(best_sq, (positions[i] - positions[j]).norm_sq());
+  });
   // Any pair closer than one cell side lies within the scanned
   // neighbourhood, so when the scan found nothing nearer, `cell` itself
   // is a correct lower bound on the true minimum.

@@ -174,6 +174,18 @@ TEST_F(ChannelModemTest, DuplicateAttachRejected) {
   EXPECT_THROW(channel_.attach(a), std::logic_error);
 }
 
+TEST_F(ChannelModemTest, DuplicateIdAttachRejected) {
+  add_modem(0, Vec3{0, 0, 0});
+  AcousticModem twin{sim_, 0, ModemConfig{}, reception_, Rng{7}};
+  EXPECT_THROW(channel_.attach(twin), std::logic_error);
+  EXPECT_EQ(channel_.modem_count(), 1u);
+}
+
+TEST_F(ChannelModemTest, ReserveAfterAttachRejected) {
+  add_modem(0, Vec3{0, 0, 0});
+  EXPECT_THROW(channel_.reserve(4), std::logic_error);
+}
+
 TEST_F(ChannelModemTest, AuditSeesEveryReach) {
   std::vector<TransmissionAudit> audits;
   channel_.set_audit([&](const TransmissionAudit& audit) { audits.push_back(audit); });

@@ -1,13 +1,13 @@
-// Runtime companion to aquamac-lint's ckpt-coverage rule: after
+// Runtime companion to aquamac-lint's state-coverage rule: after
 // exercising each subsystem to a mid-run state (queues populated,
 // handshakes pending, routes learned, custody in flight), the
 // save -> restore -> save round trip must be byte-identical and leave no
 // trailing payload. The static rule proves every member is *referenced*
-// in both codec directions; this test proves the references actually
-// encode and decode symmetrically. Targeted regressions at the bottom
-// pin the misses the rule surfaced: DvRouter's explicit last_best_
-// serialization, the relay reliability-config cross-check, and the MAC
-// event-handle armed-bit cross-check.
+// in its type's one visit_state body; this test proves that body
+// actually encodes and decodes symmetrically. Targeted regressions at the
+// bottom pin the misses the coverage lint surfaced: DvRouter's explicit
+// last_best_ serialization, the relay reliability-config cross-check, and
+// the MAC event-handle armed-bit cross-check.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +100,7 @@ TEST(CkptFieldCoverage, FaultPlanAndClockSkewRoundTrip) {
 // bytes, including the change-detection baseline. A restore that derived
 // last_best_ from the entries instead of decoding it would desynchronize
 // change suppression after resume (regression for the omission the
-// ckpt-coverage rule surfaced).
+// coverage lint surfaced).
 TEST(CkptFieldCoverage, DvRouterRoundTripsIntoFreshRouter) {
   DvRouter source{/*self=*/3, /*is_sink=*/false};
   Frame ad{};

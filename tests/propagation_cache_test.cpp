@@ -12,7 +12,9 @@
 #include "channel/reception.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
+#include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "stats/trace.hpp"
 
 namespace aquamac {
 namespace {
@@ -45,7 +47,7 @@ TEST_F(PropagationCacheTest, CachedPathEqualsFreshCompute) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
   AcousticModem& b = add_modem(1, {1'000.0, 500.0, 300.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   const auto expected = model_.compute(a.position(), b.position(), kFreqKhz);
   expect_same_path(cache.direct(a, b), expected);  // miss: computes
@@ -58,7 +60,7 @@ TEST_F(PropagationCacheTest, DirectionsAreCachedIndependently) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
   AcousticModem& b = add_modem(1, {2'000.0, 0.0, 400.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   expect_same_path(cache.direct(a, b), model_.compute(a.position(), b.position(), kFreqKhz));
   expect_same_path(cache.direct(b, a), model_.compute(b.position(), a.position(), kFreqKhz));
@@ -71,7 +73,7 @@ TEST_F(PropagationCacheTest, MovingAnEndpointInvalidates) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
   AcousticModem& b = add_modem(1, {1'000.0, 0.0, 100.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   (void)cache.direct(a, b);
   EXPECT_EQ(cache.misses(), 1u);
@@ -88,7 +90,7 @@ TEST_F(PropagationCacheTest, SettingTheSamePositionDoesNotInvalidate) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
   AcousticModem& b = add_modem(1, {1'000.0, 0.0, 100.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   (void)cache.direct(a, b);
   const auto epoch = b.position_epoch();
@@ -102,7 +104,7 @@ TEST_F(PropagationCacheTest, SurfaceEchoMatchesImageSourcePath) {
   PropagationCache cache{model_, kFreqKhz, /*cache_echo=*/true};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 200.0});
   AcousticModem& b = add_modem(1, {1'200.0, 300.0, 350.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   constexpr double kReflectionLossDb = 6.0;
   const auto expected =
@@ -116,11 +118,10 @@ TEST_F(PropagationCacheTest, SurfaceEchoMatchesImageSourcePath) {
 TEST_F(PropagationCacheTest, IdsBeyondTheTableAreServedUncached) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
-  // An id past the current table dimension (ensure_capacity(1) sizes the
-  // table for a handful of ids) — the same fallback serves ids past the
-  // kMaxCachedId hard ceiling.
+  // An id past the table dimension (size_for(2) covers ids 0 and 1)
+  // falls through to a fresh compute.
   AcousticModem& far = add_modem(1'000, {900.0, 0.0, 100.0});
-  cache.ensure_capacity(1);
+  cache.size_for(2);
 
   const auto expected = model_.compute(a.position(), far.position(), kFreqKhz);
   expect_same_path(cache.direct(a, far), expected);
@@ -129,13 +130,45 @@ TEST_F(PropagationCacheTest, IdsBeyondTheTableAreServedUncached) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST_F(PropagationCacheTest, WorksBeforeEnsureCapacity) {
+TEST_F(PropagationCacheTest, WorksBeforeSizeFor) {
   PropagationCache cache{model_, kFreqKhz};
   AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
   AcousticModem& b = add_modem(1, {700.0, 0.0, 100.0});
-  // No ensure_capacity: table is empty, everything falls through.
+  // No size_for: table is empty, everything falls through.
+  EXPECT_EQ(cache.table_entries(), 0u);
   expect_same_path(cache.direct(a, b), model_.compute(a.position(), b.position(), kFreqKhz));
   EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST_F(PropagationCacheTest, TableCoversExactlyTheNodeCount) {
+  PropagationCache cache{model_, kFreqKhz};
+  AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
+  AcousticModem& last = add_modem(2, {800.0, 0.0, 100.0});
+  AcousticModem& outside = add_modem(3, {0.0, 900.0, 100.0});
+  cache.size_for(3);
+  EXPECT_EQ(cache.table_entries(), 9u);
+
+  (void)cache.direct(a, last);
+  (void)cache.direct(a, last);
+  EXPECT_EQ(cache.hits(), 1u) << "id 2 is inside a 3-node table";
+  (void)cache.direct(a, outside);
+  (void)cache.direct(a, outside);
+  EXPECT_EQ(cache.hits(), 1u) << "id 3 is outside a 3-node table";
+}
+
+TEST_F(PropagationCacheTest, AboveTheCeilingNoTableIsAllocated) {
+  PropagationCache cache{model_, kFreqKhz, /*cache_echo=*/true};
+  AcousticModem& a = add_modem(0, {0.0, 0.0, 100.0});
+  AcousticModem& b = add_modem(1, {1'000.0, 0.0, 100.0});
+  cache.size_for(static_cast<std::size_t>(PropagationCache::kMaxCachedId) + 2);
+  EXPECT_EQ(cache.table_entries(), 0u);
+
+  const auto expected = model_.compute(a.position(), b.position(), kFreqKhz);
+  expect_same_path(cache.direct(a, b), expected);
+  expect_same_path(cache.direct(a, b), expected);
+  (void)cache.surface_echo(a, b, 6.0);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 // --- network level: the cache must be invisible in the results ---------
@@ -166,6 +199,30 @@ TEST(PropagationCacheNetwork, StaticScenarioIsBitIdenticalWithAndWithoutCache) {
   config.sim_time = Duration::seconds(30);
   ASSERT_FALSE(config.enable_mobility);
   expect_identical_runs(run_with_cache(config, true), run_with_cache(config, false));
+}
+
+TEST(PropagationCacheNetwork, StaticNetworkAboveTheCeilingIsBitIdenticalWithAndWithoutCache) {
+  // Just past kMaxCachedId + 1 nodes the channel keeps no pair table;
+  // the trace digest must match the uncached run's.
+  constexpr std::size_t kNodes = 2'100;
+  static_assert(kNodes > PropagationCache::kMaxCachedId + 1);
+  ScenarioConfig config = grid3d_scenario(kNodes, /*seed=*/5);
+  config.enable_mobility = false;
+  config.sim_time = Duration::seconds(12);
+
+  auto digest_with_cache = [&config](bool cache_paths) {
+    ScenarioConfig run_config = config;
+    run_config.channel.cache_paths = cache_paths;
+    HashTrace hash;
+    run_config.trace = &hash;
+    Simulator sim;
+    Network network{sim, run_config};
+    EXPECT_EQ(network.channel().path_cache_entries(), 0u);
+    (void)network.run();
+    EXPECT_GT(network.channel().transmissions(), 0u);
+    return hash.digest();
+  };
+  EXPECT_EQ(digest_with_cache(true), digest_with_cache(false));
 }
 
 TEST(PropagationCacheNetwork, MobileScenarioIsBitIdenticalWithAndWithoutCache) {

@@ -1,16 +1,20 @@
 // Scale smoke: the N=1000 density-preserving scenario must build, run a
 // short horizon with the spatial index on and the invariant auditor in
-// hard-fail mode, and stay clean. This is the CI guard that large-N
-// machinery (scenario generators, index, auditor) keeps working without
+// hard-fail mode, and stay clean; the N=20000 scenario must build in
+// linear time and memory. This is the CI guard that large-N machinery
+// (scenario generators, router, index, auditor) keeps working without
 // paying full bench cost.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "channel/propagation_cache.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "net/network.hpp"
+#include "net/routing.hpp"
 #include "stats/invariant_auditor.hpp"
 
 namespace aquamac {
@@ -71,6 +75,47 @@ TEST(ScaleSmoke, Grid3dThousandNodesShardedMatchesSerialUnderAudit) {
   EXPECT_EQ(serial_stats.mean_latency_s, sharded_stats.mean_latency_s);
   EXPECT_EQ(serial_stats.total_energy_j, sharded_stats.total_energy_j);
   EXPECT_EQ(serial_stats.rx_collisions, sharded_stats.rx_collisions);
+}
+
+TEST(ScaleSmoke, TwentyThousandNodeNetworkBuildsWithoutPairTables) {
+  // Construction only (no run): the router's grid-binned candidates must
+  // match the all-pairs definition, and a network above the path-cache
+  // ceiling must not allocate an N^2 table.
+  constexpr std::size_t kNodes = 20'000;
+  const ScenarioConfig config = grid3d_scenario(kNodes, /*seed=*/7);
+  Simulator sim;
+  Network network{sim, config};
+  static_assert(kNodes > PropagationCache::kMaxCachedId + 1);
+  EXPECT_EQ(network.channel().path_cache_entries(), 0u);
+  EXPECT_EQ(network.channel().modem_count(), kNodes);
+
+  std::vector<Vec3> positions;
+  positions.reserve(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    positions.push_back(network.node(static_cast<NodeId>(i)).modem().position());
+  }
+  const double range_m = config.channel.comm_range_m;
+  const UphillRouter& router = network.router();
+  std::size_t sampled_sources = 0;
+  for (std::size_t i = 0; i < kNodes; i += 40) {  // 500 nodes
+    std::vector<NodeId> expected;
+    for (std::size_t j = 0; j < kNodes; ++j) {
+      if (positions[j].z < positions[i].z && positions[i].distance_to(positions[j]) <= range_m) {
+        expected.push_back(static_cast<NodeId>(j));
+      }
+    }
+    ASSERT_EQ(router.candidates(static_cast<NodeId>(i)), expected) << "node " << i;
+    if (!expected.empty()) ++sampled_sources;
+  }
+  EXPECT_GT(sampled_sources, 400u) << "the grid should be mostly uphill-connected";
+}
+
+TEST(ScaleSmoke, NetworkAtOrBelowTheCeilingSizesItsTableOnce) {
+  constexpr std::size_t kNodes = 300;
+  const ScenarioConfig config = grid3d_scenario(kNodes, /*seed=*/7);
+  Simulator sim;
+  Network network{sim, config};
+  EXPECT_EQ(network.channel().path_cache_entries(), kNodes * kNodes);
 }
 
 TEST(ScaleSmoke, ScaleScenariosPreserveDensity) {
