@@ -1,8 +1,8 @@
 #pragma once
 // EW-MAC — "Exploit Waiting" MAC, the paper's contribution (§4).
 //
-// On top of the slotted four-way handshake (RTS/CTS/DATA/ACK on slot
-// boundaries, Eq.-5 Ack slots), EW-MAC adds the extra-communication
+// On top of the HandshakeMac slotted four-way cycle (RTS/CTS/DATA/ACK on
+// slot boundaries, Eq.-5 Ack slots), EW-MAC adds the extra-communication
 // phase: a sensor i that loses contention for its intended receiver j —
 // detected by overhearing a negotiation packet RTS(j,k) or CTS(j,k) from
 // j — may negotiate an EXR/EXC exchange inside j's idle waiting periods
@@ -22,16 +22,15 @@
 #include <vector>
 
 #include "mac/handshake.hpp"
-#include "mac/slotted_mac.hpp"
+#include "mac/handshake_mac.hpp"
 
 namespace aquamac {
 
-class EwMac final : public SlottedMac {
+class EwMac final : public HandshakeMac {
  public:
-  using SlottedMac::SlottedMac;
+  using HandshakeMac::HandshakeMac;
 
   [[nodiscard]] std::string_view name() const override { return "EW-MAC"; }
-  void start() override;
 
   /// Exposed for tests: the node's current schedule predictions.
   [[nodiscard]] const ScheduleBook& schedule_book() const { return schedule_; }
@@ -39,46 +38,44 @@ class EwMac final : public SlottedMac {
   void visit_state(StateArchive& ar) override;
 
  protected:
-  void handle_frame(const Frame& frame, const RxInfo& info) override;
-  void handle_packet_enqueued() override;
   void handle_reset() override;
 
- private:
-  enum class State {
-    kIdle,
-    kWaitCts,
-    kWaitData,
-    kWaitAck,
-    kAskingExtra,  ///< EXR sent, awaiting EXC
-    kWaitExAck,    ///< EXDATA scheduled/sent, awaiting EXACK
-  };
-
-  // --- sender side: negotiated path -----------------------------------
-  void schedule_attempt(std::int64_t extra_slots);
-  void attempt_rts();
-  void fail_and_backoff();
-  void on_cts(const Frame& frame, const RxInfo& info);
-  void on_ack(const Frame& frame);
-
-  // --- receiver side ----------------------------------------------------
-  void on_rts(const Frame& frame, const RxInfo& info);
-  void decide_cts();
-  void on_data(const Frame& frame);
-
-  // --- extra communication: asking side (sensor i) ---------------------
+  // --- HandshakeMac hooks -------------------------------------------------
+  /// Predicts the overheard exchange into the schedule book and keeps
+  /// quiet for it, sized by the announced pair delay.
+  void overheard(const Frame& frame, const RxInfo& info) override;
   /// Contention loss detected: j negotiated with k instead. Try the extra
   /// phase; falls back to backoff when infeasible.
-  void contention_lost(const Frame& negotiation, const RxInfo& info);
-  void on_exc(const Frame& frame, const RxInfo& info);
+  void contention_lost(const Frame& negotiation, const RxInfo& info) override;
+  /// Stamps the wait-time-weighted priority rp on every RTS (§3.1).
+  void decorate_negotiation(Frame& frame) override;
+  /// A held extra-communication grant keeps the node out of negotiation.
+  [[nodiscard]] bool negotiation_blocked() const override { return grant_.has_value(); }
+  void handle_extra_frame(const Frame& frame, const RxInfo& info) override;
+  /// §3.1: the RTS with the highest rp wins the slot.
+  [[nodiscard]] const Candidate& contention_winner(
+      const std::vector<Candidate>& candidates) const override;
+  void cts_sent(const Candidate& winner) override;
+  /// The timeout fires only on true silence: overhearing j's own
+  /// negotiation cancels it (contention_lost), so no CTS and nothing
+  /// overheard means the destination may be gone.
+  void cts_timed_out() override;
+  void backed_off() override { extra_.reset(); }
+
+ private:
+  static constexpr State kAskingExtra{4};  ///< EXR sent, awaiting EXC
+  static constexpr State kWaitExAck{5};    ///< EXDATA scheduled/sent, awaiting EXACK
+
+  // --- extra communication: asking side (sensor i) ---------------------
+  void on_exc(const Frame& frame);
   void on_exack(const Frame& frame);
   void abandon_extra();
 
   // --- extra communication: asked side (sensor j) ----------------------
-  void on_exr(const Frame& frame, const RxInfo& info);
+  void on_exr(const Frame& frame);
   void on_exdata(const Frame& frame);
 
-  // --- overhearing / schedule prediction --------------------------------
-  void overhear(const Frame& frame, const RxInfo& info);
+  // --- schedule prediction ------------------------------------------------
   /// Adds the predicted busy windows of the exchange announced by an
   /// overheard negotiation packet to the schedule book.
   void predict_exchange(const Frame& frame, const RxInfo& info);
@@ -90,29 +87,6 @@ class EwMac final : public SlottedMac {
 
   [[nodiscard]] double make_priority(const Packet& packet);
 
-  /// All FSM transitions funnel through here so the trace sees every
-  /// kMacState edge.
-  void set_state(State next);
-
-  State state_{State::kIdle};
-  EventHandle attempt_event_{};
-  EventHandle timeout_event_{};
-  EventHandle decide_event_{};
-
-  // Receiver-side RTS collection for the slot-boundary decision (§3.1:
-  // pick the highest rp among the RTSs of the slot).
-  struct Candidate {
-    NodeId src;
-    std::uint64_t seq;
-    Duration data_duration;
-    Duration delay_to_src;
-    double rp;
-
-    void visit_state(StateArchive& ar);
-  };
-  std::vector<Candidate> candidates_;
-  NodeId expected_data_from_{kNoNode};
-  std::uint64_t expected_seq_{0};
   /// While in kWaitData: when the negotiated DATA starts arriving and the
   /// Eq.-5 Ack slot of our own exchange (used to bound granted extras).
   Time neg_data_begin_{};
