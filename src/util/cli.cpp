@@ -40,6 +40,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
         value = "true";
       }
     }
+    given_.insert(arg);
     values_[arg] = std::move(value);
   }
   return true;
@@ -60,6 +61,11 @@ bool CliParser::has(const std::string& name) const {
   (void)find_spec(name);
   const auto it = values_.find(name);
   return it != values_.end() && !it->second.empty();
+}
+
+bool CliParser::given(const std::string& name) const {
+  (void)find_spec(name);
+  return given_.contains(name);
 }
 
 std::string CliParser::get(const std::string& name) const {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@ class CliParser {
   [[nodiscard]] std::string help_text() const;
 
   [[nodiscard]] bool has(const std::string& name) const;
+  /// True only when the flag appeared on argv (a default does not count).
+  [[nodiscard]] bool given(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
@@ -46,6 +49,7 @@ class CliParser {
   std::string program_;
   std::vector<FlagSpec> spec_;
   std::map<std::string, std::string> values_;
+  std::set<std::string> given_;
   std::vector<std::string> positional_;
 };
 

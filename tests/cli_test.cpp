@@ -49,6 +49,17 @@ TEST(Cli, BooleanSwitch) {
   EXPECT_TRUE(cli.get_bool("verbose"));
 }
 
+TEST(Cli, GivenOnlyForFlagsOnArgv) {
+  CliParser cli = make_parser();
+  const auto argv = argv_of({"--nodes=60", "--verbose"});
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_TRUE(cli.given("nodes")) << "given even when equal to the default";
+  EXPECT_TRUE(cli.given("verbose"));
+  EXPECT_FALSE(cli.given("mac")) << "a default is not given";
+  EXPECT_EQ(cli.get("mac"), "EW-MAC");
+  EXPECT_THROW((void)cli.given("bogus"), std::invalid_argument);
+}
+
 TEST(Cli, HelpShortCircuits) {
   CliParser cli = make_parser();
   const auto argv = argv_of({"--help"});

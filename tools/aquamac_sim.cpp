@@ -24,48 +24,83 @@ namespace {
 
 using namespace aquamac;
 
-int run(const CliParser& cli) {
-  ScenarioConfig config = paper_default_scenario();
-  if (cli.has("config")) config = load_scenario_file(cli.get("config"), config);
-  config.mac = mac_kind_from_string(cli.get("mac"));
-  config.node_count = static_cast<std::size_t>(cli.get_int("nodes"));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.sim_time = Duration::from_seconds(cli.get_double("time"));
-  config.traffic.offered_load_kbps = cli.get_double("load");
-  config.traffic.packet_bits_min = static_cast<std::uint32_t>(cli.get_int("packet-bits"));
-  config.traffic.packet_bits_max = config.traffic.packet_bits_min;
-  config.enable_mobility = cli.get_bool("mobility");
-  config.clock_offset_stddev_s = cli.get_double("clock-skew");
-  config.multi_hop = cli.get_bool("multi-hop");
-  config.routing = routing_kind_from_string(cli.get("routing"));
-  config.routing_beacon = Duration::from_seconds(cli.get_double("routing-beacon-s"));
-  config.reliability.max_retries = static_cast<std::uint32_t>(cli.get_int("relay-retries"));
-  config.reliability.queue_limit = static_cast<std::uint32_t>(cli.get_int("relay-queue"));
-  config.node_failure_fraction = cli.get_double("kill-fraction");
-  config.shards = static_cast<unsigned>(std::max<std::int64_t>(1, cli.get_int("shards")));
-
-  const std::string region = cli.get("region");
-  if (region == "table2") {
-    config.deployment = table2_deployment();
-  } else if (region != "scaled") {
-    throw std::invalid_argument("--region must be 'scaled' or 'table2'");
+/// Writes the scenario flags into `config`: every flag, or with
+/// `only_given` just those that appeared on argv.
+void apply_scenario_flags(const CliParser& cli, bool only_given, ScenarioConfig& config) {
+  const auto use = [&](const char* flag) { return !only_given || cli.given(flag); };
+  if (use("mac")) config.mac = mac_kind_from_string(cli.get("mac"));
+  if (use("nodes")) config.node_count = static_cast<std::size_t>(cli.get_int("nodes"));
+  if (use("seed")) config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  if (use("time")) config.sim_time = Duration::from_seconds(cli.get_double("time"));
+  if (use("load")) config.traffic.offered_load_kbps = cli.get_double("load");
+  if (use("packet-bits")) {
+    config.traffic.packet_bits_min = static_cast<std::uint32_t>(cli.get_int("packet-bits"));
+    config.traffic.packet_bits_max = config.traffic.packet_bits_min;
+  }
+  if (use("mobility")) config.enable_mobility = cli.get_bool("mobility");
+  if (use("clock-skew")) config.clock_offset_stddev_s = cli.get_double("clock-skew");
+  if (use("multi-hop")) config.multi_hop = cli.get_bool("multi-hop");
+  if (use("routing")) config.routing = routing_kind_from_string(cli.get("routing"));
+  if (use("routing-beacon-s")) {
+    config.routing_beacon = Duration::from_seconds(cli.get_double("routing-beacon-s"));
+  }
+  if (use("relay-retries")) {
+    config.reliability.max_retries = static_cast<std::uint32_t>(cli.get_int("relay-retries"));
+  }
+  if (use("relay-queue")) {
+    config.reliability.queue_limit = static_cast<std::uint32_t>(cli.get_int("relay-queue"));
+  }
+  if (use("kill-fraction")) config.node_failure_fraction = cli.get_double("kill-fraction");
+  if (use("shards")) {
+    config.shards = static_cast<unsigned>(std::max<std::int64_t>(1, cli.get_int("shards")));
   }
 
-  const std::string reception = cli.get("reception");
-  if (reception == "sinr") {
-    config.reception = ReceptionKind::kSinrPer;
-  } else if (reception != "deterministic") {
-    throw std::invalid_argument("--reception must be 'deterministic' or 'sinr'");
+  if (use("region")) {
+    const std::string region = cli.get("region");
+    if (region == "table2") {
+      config.deployment = table2_deployment();
+    } else if (region == "scaled") {
+      config.deployment = paper_default_scenario().deployment;
+    } else {
+      throw std::invalid_argument("--region must be 'scaled' or 'table2'");
+    }
   }
-  const std::string propagation = cli.get("propagation");
-  if (propagation == "bellhop") {
-    config.propagation = PropagationKind::kBellhopLite;
-  } else if (propagation != "straight") {
-    throw std::invalid_argument("--propagation must be 'straight' or 'bellhop'");
+  if (use("reception")) {
+    const std::string reception = cli.get("reception");
+    if (reception == "sinr") {
+      config.reception = ReceptionKind::kSinrPer;
+    } else if (reception == "deterministic") {
+      config.reception = ReceptionKind::kDeterministic;
+    } else {
+      throw std::invalid_argument("--reception must be 'deterministic' or 'sinr'");
+    }
   }
-  if (cli.get_bool("batch")) {
-    config.traffic.mode = TrafficMode::kBatch;
+  if (use("propagation")) {
+    const std::string propagation = cli.get("propagation");
+    if (propagation == "bellhop") {
+      config.propagation = PropagationKind::kBellhopLite;
+    } else if (propagation == "straight") {
+      config.propagation = PropagationKind::kStraightLine;
+    } else {
+      throw std::invalid_argument("--propagation must be 'straight' or 'bellhop'");
+    }
+  }
+  if (use("batch")) {
+    config.traffic.mode = cli.get_bool("batch") ? TrafficMode::kBatch : TrafficMode::kPoisson;
+  }
+  if (config.traffic.mode == TrafficMode::kBatch && use("batch-packets")) {
     config.traffic.batch_packets = static_cast<std::uint32_t>(cli.get_int("batch-packets"));
+  }
+}
+
+int run(const CliParser& cli) {
+  // Precedence: a flag given on argv, then the --config file, then the
+  // flag's default.
+  ScenarioConfig config = paper_default_scenario();
+  apply_scenario_flags(cli, /*only_given=*/false, config);
+  if (cli.has("config")) {
+    config = load_scenario_file(cli.get("config"), config);
+    apply_scenario_flags(cli, /*only_given=*/true, config);
   }
 
   std::ofstream trace_file;
@@ -156,7 +191,7 @@ int main(int argc, char** argv) {
   CliParser cli{"aquamac_sim",
                 {
                     {"mac", "EW-MAC", "protocol: EW-MAC, S-FAMA, ROPA, CS-MAC, CW-MAC, "
-                                      "S-ALOHA, DOTS"},
+                                      "S-ALOHA, DOTS, MACA-U"},
                     {"nodes", "60", "number of sensors"},
                     {"load", "0.5", "network-aggregate offered load in kbps"},
                     {"packet-bits", "2048", "data payload size in bits (Table 2: 1024-4096)"},
@@ -195,7 +230,8 @@ int main(int argc, char** argv) {
                     {"checkpoint-out", "", "checkpoint file path (overwritten each snapshot)"},
                     {"resume-from", "", "resume from this checkpoint file (digest-verified "
                                         "replay; the scenario comes from the snapshot)"},
-                    {"config", "", "load scenario defaults from a key=value file first"},
+                    {"config", "", "load the scenario from a key=value file; flags given "
+                                  "on the command line override it"},
                     {"save-config", "", "write the effective scenario to this path"},
                     {"verbose", "false", "per-node debug logging to stderr"},
                 }};
