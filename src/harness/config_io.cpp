@@ -1,17 +1,19 @@
 #include "harness/config_io.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <type_traits>
+
+#include "harness/scenario.hpp"
 
 namespace aquamac {
-
-namespace {
 
 std::string_view to_string(DeploymentKind kind) {
   switch (kind) {
@@ -22,31 +24,20 @@ std::string_view to_string(DeploymentKind kind) {
   return "?";
 }
 
-DeploymentKind deployment_from_string(const std::string& name) {
-  if (name == "uniform-box") return DeploymentKind::kUniformBox;
-  if (name == "layered-column") return DeploymentKind::kLayeredColumn;
-  if (name == "grid") return DeploymentKind::kGrid;
-  throw std::invalid_argument("unknown deployment kind: " + name);
-}
-
 std::string_view to_string(PropagationKind kind) {
-  return kind == PropagationKind::kStraightLine ? "straight" : "bellhop";
-}
-
-PropagationKind propagation_from_string(const std::string& name) {
-  if (name == "straight") return PropagationKind::kStraightLine;
-  if (name == "bellhop") return PropagationKind::kBellhopLite;
-  throw std::invalid_argument("unknown propagation kind: " + name);
+  switch (kind) {
+    case PropagationKind::kStraightLine: return "straight";
+    case PropagationKind::kBellhopLite: return "bellhop";
+  }
+  return "?";
 }
 
 std::string_view to_string(ReceptionKind kind) {
-  return kind == ReceptionKind::kDeterministic ? "deterministic" : "sinr";
-}
-
-ReceptionKind reception_from_string(const std::string& name) {
-  if (name == "deterministic") return ReceptionKind::kDeterministic;
-  if (name == "sinr") return ReceptionKind::kSinrPer;
-  throw std::invalid_argument("unknown reception kind: " + name);
+  switch (kind) {
+    case ReceptionKind::kDeterministic: return "deterministic";
+    case ReceptionKind::kSinrPer: return "sinr";
+  }
+  return "?";
 }
 
 std::string_view to_string(Spreading spreading) {
@@ -58,160 +49,144 @@ std::string_view to_string(Spreading spreading) {
   return "?";
 }
 
-Spreading spreading_from_string(const std::string& name) {
-  if (name == "cylindrical") return Spreading::kCylindrical;
-  if (name == "practical") return Spreading::kPractical;
-  if (name == "spherical") return Spreading::kSpherical;
-  throw std::invalid_argument("unknown spreading: " + name);
-}
-
 std::string_view to_string(TrafficMode mode) {
-  return mode == TrafficMode::kPoisson ? "poisson" : "batch";
+  switch (mode) {
+    case TrafficMode::kPoisson: return "poisson";
+    case TrafficMode::kBatch: return "batch";
+  }
+  return "?";
 }
 
-TrafficMode traffic_mode_from_string(const std::string& name) {
-  if (name == "poisson") return TrafficMode::kPoisson;
-  if (name == "batch") return TrafficMode::kBatch;
-  throw std::invalid_argument("unknown traffic mode: " + name);
+std::uint64_t parse_scenario_uint(const std::string& what, const std::string& text,
+                                  std::uint64_t max) {
+  std::string_view digits{text};
+  if (digits.starts_with('+')) digits.remove_prefix(1);
+  std::uint64_t value = 0;
+  const auto [end, error] = std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (digits.empty() || error != std::errc{} || end != digits.data() + digits.size() ||
+      value > max) {
+    throw std::invalid_argument(what + ": expected an integer in [0, " + std::to_string(max) +
+                                "], got '" + text + "'");
+  }
+  return value;
 }
 
-double parse_double(const std::string& key, const std::string& raw) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(raw, &pos);
-    if (pos != raw.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': expected a number, got '" + raw +
-                                "'");
+namespace {
+
+std::string trim(const std::string& s) {
+  const auto begin = s.find_first_not_of(" \t\r");
+  if (begin == std::string::npos) return {};
+  return s.substr(begin, s.find_last_not_of(" \t\r") - begin + 1);
+}
+
+/// Rejects a string the file cannot hold: '#' starts a comment, a line
+/// break ends the value, and load trims leading and trailing blanks.
+void check_storable(const std::string& what, const std::string& text) {
+  if (text.find_first_of("#\n\r") == std::string::npos && trim(text) == text) return;
+  throw std::invalid_argument(what + ": '" + text +
+                              "' cannot round-trip through a scenario file (no '#', line "
+                              "break, or leading or trailing blank)");
+}
+
+/// Index of `text` in `names`; throws listing the accepted spellings.
+std::size_t parse_choice(const std::string& what, const std::string& text,
+                         const std::vector<std::string_view>& names) {
+  const auto it = std::find(names.begin(), names.end(), text);
+  if (it != names.end()) return static_cast<std::size_t>(it - names.begin());
+  std::string accepted;
+  for (const std::string_view name : names) {
+    accepted += accepted.empty() ? "" : ", ";
+    accepted += name;
+  }
+  throw std::invalid_argument(what + ": expected one of " + accepted + ", got '" + text + "'");
+}
+
+/// The one parser of scenario values; `what` names the key or flag.
+template <typename T>
+void parse_value(const std::string& what, const std::string& text, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    // The spellings alternate false, true.
+    out = parse_choice(what, text, {"false", "true", "0", "1", "no", "yes", "off", "on"}) % 2 == 1;
+  } else if constexpr (std::is_enum_v<T>) {
+    std::vector<std::string_view> names;
+    for (int i = 0; to_string(static_cast<T>(i)) != "?"; ++i) {
+      names.push_back(to_string(static_cast<T>(i)));
+    }
+    out = static_cast<T>(parse_choice(what, text, names));
+  } else if constexpr (std::is_integral_v<T>) {
+    out = static_cast<T>(parse_scenario_uint(what, text, std::numeric_limits<T>::max()));
+  } else if constexpr (std::is_same_v<T, double>) {
+    // strtod, unlike std::stod, keeps a subnormal result instead of
+    // reporting it out of range, so every finite double saved loads.
+    char* end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() || !std::isfinite(out)) {
+      throw std::invalid_argument(what + ": expected a finite number, got '" + text + "'");
+    }
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    double seconds = 0.0;
+    parse_value(what, text, seconds);
+    if (!(std::abs(seconds * 1e9) < 0x1p63)) {
+      throw std::invalid_argument(what + ": " + text +
+                                  " s does not fit the int64 nanosecond clock");
+    }
+    out = Duration::from_seconds(seconds);
+  } else {
+    static_assert(std::is_same_v<T, std::string>);
+    check_storable(what, text);
+    out = text;
   }
 }
 
-std::uint64_t parse_uint(const std::string& key, const std::string& raw) {
-  try {
-    // std::stoull accepts a leading '-' by wrapping modulo 2^64, which
-    // would turn "node-count = -1" into a 16-EiB allocation request.
-    if (!raw.empty() && raw.front() == '-') throw std::invalid_argument("negative");
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(raw, &pos);
-    if (pos != raw.size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario key '" + key + "': expected an integer, got '" +
-                                raw + "'");
+/// The one formatter of scenario values; parse_value reads it back.
+template <typename T>
+std::string format_value(const std::string& what, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_enum_v<T>) {
+    return std::string{to_string(value)};
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(static_cast<std::uint64_t>(value));
+  } else if constexpr (std::is_same_v<T, double>) {
+    // max_digits10 makes every double exactly round-trippable; the
+    // default 6 significant digits silently perturbed sim-time-s,
+    // freq-khz and the fault rates on save -> load.
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << value;
+    return os.str();
+  } else if constexpr (std::is_same_v<T, Duration>) {
+    return format_value(what, value.to_seconds());
+  } else {
+    check_storable(what, value);
+    return value;
   }
 }
 
-bool parse_bool(const std::string& key, const std::string& raw) {
-  if (raw == "true" || raw == "1") return true;
-  if (raw == "false" || raw == "0") return false;
-  throw std::invalid_argument("scenario key '" + key + "': expected true/false, got '" + raw +
-                              "'");
+/// Parses `text` into `member` under `option`'s rules.
+template <typename T>
+void set_option(const ScenarioOption& option, const std::string& what, const std::string& text,
+                T& member) {
+  parse_value(what, text, member);
+  if constexpr (std::is_integral_v<T>) member = std::max(member, static_cast<T>(option.at_least));
 }
 
 }  // namespace
 
 void save_scenario(const ScenarioConfig& config, std::ostream& os) {
-  // max_digits10 makes every double exactly round-trippable; the default
-  // 6-significant-digit stream precision silently perturbed sim-time-s,
-  // freq-khz and the fault rates on save -> load.
-  const std::streamsize saved_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
-  os << "# aquamac scenario\n";
-  os << "mac = " << aquamac::to_string(config.mac) << "\n";
-  os << "node-count = " << config.node_count << "\n";
-  os << "seed = " << config.seed << "\n";
-  os << "jobs = " << config.jobs << "\n";
-  os << "shards = " << config.shards << "\n";
-  os << "sim-time-s = " << config.sim_time.to_seconds() << "\n";
-  os << "hello-window-s = " << config.hello_window.to_seconds() << "\n";
-  os << "hello-rounds = " << config.hello_rounds << "\n";
-  os << "\n# channel / physics\n";
-  os << "freq-khz = " << config.channel.freq_khz << "\n";
-  os << "bandwidth-hz = " << config.channel.bandwidth_hz << "\n";
-  os << "source-level-db = " << config.channel.source_level_db << "\n";
-  os << "comm-range-m = " << config.channel.comm_range_m << "\n";
-  os << "interference-range-m = " << config.channel.interference_range_m << "\n";
-  os << "bit-rate-bps = " << config.bit_rate_bps << "\n";
-  os << "sound-speed-mps = " << config.sound_speed_mps << "\n";
-  os << "propagation = " << to_string(config.propagation) << "\n";
-  os << "spreading = " << to_string(config.channel.spreading) << "\n";
-  os << "reception = " << to_string(config.reception) << "\n";
-  os << "shipping = " << config.channel.noise.shipping << "\n";
-  os << "wind-mps = " << config.channel.noise.wind_mps << "\n";
-  os << "\n# deployment / mobility\n";
-  os << "deployment = " << to_string(config.deployment.kind) << "\n";
-  os << "width-m = " << config.deployment.width_m << "\n";
-  os << "length-m = " << config.deployment.length_m << "\n";
-  os << "depth-m = " << config.deployment.depth_m << "\n";
-  os << "layer-spacing-m = " << config.deployment.layer_spacing_m << "\n";
-  os << "jitter-m = " << config.deployment.jitter_m << "\n";
-  os << "mobility = " << (config.enable_mobility ? "true" : "false") << "\n";
-  os << "drift-mps = " << config.mobility.speed_mps << "\n";
-  os << "clock-skew-s = " << config.clock_offset_stddev_s << "\n";
-  os << "\n# MAC\n";
-  os << "control-bits = " << config.mac_config.control_bits << "\n";
-  os << "max-retries = " << config.mac_config.max_retries << "\n";
-  os << "cw-min-slots = " << config.mac_config.cw_min_slots << "\n";
-  os << "cw-max-slots = " << config.mac_config.cw_max_slots << "\n";
-  os << "queue-limit = " << config.mac_config.queue_limit << "\n";
-  os << "enable-extra = " << (config.mac_config.enable_extra ? "true" : "false") << "\n";
-  os << "enable-priority = " << (config.mac_config.enable_priority ? "true" : "false") << "\n";
-  os << "\n# traffic\n";
-  os << "traffic-mode = " << to_string(config.traffic.mode) << "\n";
-  os << "offered-load-kbps = " << config.traffic.offered_load_kbps << "\n";
-  os << "packet-bits-min = " << config.traffic.packet_bits_min << "\n";
-  os << "packet-bits-max = " << config.traffic.packet_bits_max << "\n";
-  os << "batch-packets = " << config.traffic.batch_packets << "\n";
-  os << "\n# multi-hop\n";
-  os << "multi-hop = " << (config.multi_hop ? "true" : "false") << "\n";
-  os << "sink-fraction = " << config.sink_fraction << "\n";
-  os << "hop-limit = " << static_cast<unsigned>(config.hop_limit) << "\n";
-  os << "routing = " << to_string(config.routing) << "\n";
-  os << "routing-beacon-s = " << config.routing_beacon.to_seconds() << "\n";
-  os << "greedy-blacklist = " << (config.greedy_blacklist ? "true" : "false") << "\n";
-  os << "\n# reliability (hop-by-hop custody ARQ; retries 0 = off)\n";
-  os << "reliability-retries = " << config.reliability.max_retries << "\n";
-  os << "reliability-queue-limit = " << config.reliability.queue_limit << "\n";
-  os << "reliability-drop-policy = " << to_string(config.reliability.drop_policy) << "\n";
-  os << "reliability-backoff-base-s = " << config.reliability.backoff_base.to_seconds()
-     << "\n";
-  os << "reliability-backoff-max-s = " << config.reliability.backoff_max.to_seconds() << "\n";
-  os << "reliability-failover = " << (config.reliability.failover ? "true" : "false") << "\n";
-  os << "\n# failure injection\n";
-  os << "node-failure-fraction = " << config.node_failure_fraction << "\n";
-  os << "node-failure-time-s = " << config.node_failure_time.to_seconds() << "\n";
-  os << "surface-echo = " << (config.channel.enable_surface_echo ? "true" : "false") << "\n";
-  os << "reflection-loss-db = " << config.channel.surface_reflection_loss_db << "\n";
-  os << "cache-paths = " << (config.channel.cache_paths ? "true" : "false") << "\n";
-  os << "spatial-index = " << (config.channel.use_spatial_index ? "true" : "false") << "\n";
-  os << "\n# fault injection (all zero = strict no-op)\n";
-  os << "fault-drift-ppm = " << config.fault.drift_ppm_stddev << "\n";
-  os << "fault-drift-jitter-s = " << config.fault.drift_jitter_stddev_s << "\n";
-  os << "fault-jitter-interval-s = " << config.fault.drift_jitter_interval.to_seconds() << "\n";
-  os << "fault-outage-per-hour = " << config.fault.outage_rate_per_hour << "\n";
-  os << "fault-outage-mean-s = " << config.fault.outage_mean_duration.to_seconds() << "\n";
-  os << "fault-duty-cycle = " << config.fault.duty_cycle << "\n";
-  os << "fault-duty-period-s = " << config.fault.duty_period.to_seconds() << "\n";
-  os << "fault-ge-p-bad = " << config.fault.ge_p_bad << "\n";
-  os << "fault-ge-p-good = " << config.fault.ge_p_good << "\n";
-  os << "fault-ge-loss-bad = " << config.fault.ge_loss_bad << "\n";
-  os << "fault-ge-loss-good = " << config.fault.ge_loss_good << "\n";
-  os << "fault-ge-step-s = " << config.fault.ge_step.to_seconds() << "\n";
-  os << "fault-storm-per-hour = " << config.fault.storm_rate_per_hour << "\n";
-  os << "fault-storm-mean-s = " << config.fault.storm_mean_duration.to_seconds() << "\n";
-  os << "fault-storm-loss = " << config.fault.storm_loss_prob << "\n";
-  os << "\n# protocol hardening\n";
-  os << "neighbor-max-age-s = " << config.mac_config.neighbor_max_age.to_seconds() << "\n";
-  os << "dead-neighbor-threshold = " << config.mac_config.dead_neighbor_threshold << "\n";
-  os << "dead-probe-interval-s = " << config.mac_config.dead_probe_interval.to_seconds()
-     << "\n";
-  os << "guard-slack-s = " << config.mac_config.guard_slack.to_seconds() << "\n";
-  os << "neighbor-ewma = " << config.mac_config.neighbor_ewma << "\n";
-  os << "\n# checkpointing\n";
-  os << "checkpoint-every-s = " << config.checkpoint_every.to_seconds() << "\n";
-  os << "checkpoint-path = " << config.checkpoint_path << "\n";
-  os.precision(saved_precision);
+  std::ostringstream text;
+  text << "# aquamac scenario\n";
+  std::string_view group;
+  for_each_scenario_option(
+      [&](const ScenarioOption& option, const auto& value) {
+        if (option.group != group) text << "\n# " << option.group << "\n";
+        group = option.group;
+        const std::string key{option.key};
+        text << key << " = " << format_value("scenario key '" + key + "'", value) << "\n";
+      },
+      config);
+  // Built whole first, so a value that cannot be saved leaves `os` untouched.
+  os << text.str();
 }
 
 void save_scenario_file(const ScenarioConfig& config, const std::string& path) {
@@ -220,335 +195,61 @@ void save_scenario_file(const ScenarioConfig& config, const std::string& path) {
   save_scenario(config, os);
 }
 
-namespace {
-
-using Setter = std::function<void(ScenarioConfig&, const std::string&, const std::string&)>;
-
-/// Key -> setter map shared by load_scenario and scenario_keys, so the
-/// round-trip exhaustiveness test can diff the accepted keys against
-/// whatever save_scenario emits.
-const std::map<std::string, Setter>& setters() {
-  static const std::map<std::string, Setter> kSetters = {
-      {"mac", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.mac = mac_kind_from_string(v);
-       }},
-      {"node-count", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_count = static_cast<std::size_t>(parse_uint(k, v));
-       }},
-      {"seed", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.seed = parse_uint(k, v);
-       }},
-      {"jobs", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.jobs = static_cast<unsigned>(parse_uint(k, v));
-       }},
-      {"shards", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.shards = std::max<unsigned>(1, static_cast<unsigned>(parse_uint(k, v)));
-       }},
-      {"sim-time-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sim_time = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"hello-window-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hello_window = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"hello-rounds", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hello_rounds = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"freq-khz", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.freq_khz = parse_double(k, v);
-       }},
-      {"bandwidth-hz", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.bandwidth_hz = parse_double(k, v);
-       }},
-      {"source-level-db", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.source_level_db = parse_double(k, v);
-       }},
-      {"comm-range-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.comm_range_m = parse_double(k, v);
-       }},
-      {"interference-range-m",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.interference_range_m = parse_double(k, v);
-       }},
-      {"bit-rate-bps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.bit_rate_bps = parse_double(k, v);
-       }},
-      {"sound-speed-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sound_speed_mps = parse_double(k, v);
-       }},
-      {"propagation", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.propagation = propagation_from_string(v);
-       }},
-      {"reception", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.reception = reception_from_string(v);
-       }},
-      {"shipping", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.noise.shipping = parse_double(k, v);
-       }},
-      {"wind-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.noise.wind_mps = parse_double(k, v);
-       }},
-      {"deployment", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.deployment.kind = deployment_from_string(v);
-       }},
-      {"width-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.width_m = parse_double(k, v);
-       }},
-      {"length-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.length_m = parse_double(k, v);
-       }},
-      {"depth-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.depth_m = parse_double(k, v);
-       }},
-      {"layer-spacing-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.layer_spacing_m = parse_double(k, v);
-       }},
-      {"jitter-m", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.deployment.jitter_m = parse_double(k, v);
-       }},
-      {"mobility", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.enable_mobility = parse_bool(k, v);
-       }},
-      {"drift-mps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mobility.speed_mps = parse_double(k, v);
-       }},
-      {"clock-skew-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.clock_offset_stddev_s = parse_double(k, v);
-       }},
-      {"control-bits", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.control_bits = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"max-retries", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.max_retries = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"cw-min-slots", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.cw_min_slots = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"cw-max-slots", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.cw_max_slots = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"queue-limit", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.queue_limit = static_cast<std::size_t>(parse_uint(k, v));
-       }},
-      {"enable-extra", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.enable_extra = parse_bool(k, v);
-       }},
-      {"enable-priority", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.enable_priority = parse_bool(k, v);
-       }},
-      {"traffic-mode", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.traffic.mode = traffic_mode_from_string(v);
-       }},
-      {"offered-load-kbps", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.offered_load_kbps = parse_double(k, v);
-       }},
-      {"packet-bits-min", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.packet_bits_min = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"packet-bits-max", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.packet_bits_max = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"batch-packets", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.traffic.batch_packets = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"multi-hop", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.multi_hop = parse_bool(k, v);
-       }},
-      {"sink-fraction", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.sink_fraction = parse_double(k, v);
-       }},
-      {"hop-limit", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.hop_limit = static_cast<std::uint8_t>(parse_uint(k, v));
-       }},
-      {"routing", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.routing = routing_kind_from_string(v);
-       }},
-      {"routing-beacon-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.routing_beacon = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"greedy-blacklist", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.greedy_blacklist = parse_bool(k, v);
-       }},
-      {"reliability-retries",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.max_retries = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"reliability-queue-limit",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.queue_limit = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"reliability-drop-policy",
-       [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.reliability.drop_policy = relay_drop_policy_from_string(v);
-       }},
-      {"reliability-backoff-base-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.backoff_base = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"reliability-backoff-max-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.backoff_max = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"reliability-failover",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.reliability.failover = parse_bool(k, v);
-       }},
-      {"node-failure-fraction",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_failure_fraction = parse_double(k, v);
-       }},
-      {"node-failure-time-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.node_failure_time = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"surface-echo", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.enable_surface_echo = parse_bool(k, v);
-       }},
-      {"reflection-loss-db",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.surface_reflection_loss_db = parse_double(k, v);
-       }},
-      {"cache-paths", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.cache_paths = parse_bool(k, v);
-       }},
-      {"spreading", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.channel.spreading = spreading_from_string(v);
-       }},
-      {"spatial-index", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.channel.use_spatial_index = parse_bool(k, v);
-       }},
-      {"fault-drift-ppm", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_ppm_stddev = parse_double(k, v);
-       }},
-      {"fault-drift-jitter-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_jitter_stddev_s = parse_double(k, v);
-       }},
-      {"fault-jitter-interval-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.drift_jitter_interval = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-outage-per-hour",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.outage_rate_per_hour = parse_double(k, v);
-       }},
-      {"fault-outage-mean-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.outage_mean_duration = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-duty-cycle", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.duty_cycle = parse_double(k, v);
-       }},
-      {"fault-duty-period-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.duty_period = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-ge-p-bad", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_p_bad = parse_double(k, v);
-       }},
-      {"fault-ge-p-good", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_p_good = parse_double(k, v);
-       }},
-      {"fault-ge-loss-bad", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_loss_bad = parse_double(k, v);
-       }},
-      {"fault-ge-loss-good",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_loss_good = parse_double(k, v);
-       }},
-      {"fault-ge-step-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.ge_step = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-storm-per-hour",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_rate_per_hour = parse_double(k, v);
-       }},
-      {"fault-storm-mean-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_mean_duration = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"fault-storm-loss", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.fault.storm_loss_prob = parse_double(k, v);
-       }},
-      {"neighbor-max-age-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.neighbor_max_age = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"dead-neighbor-threshold",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.dead_neighbor_threshold = static_cast<std::uint32_t>(parse_uint(k, v));
-       }},
-      {"dead-probe-interval-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.dead_probe_interval = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"guard-slack-s", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.guard_slack = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"neighbor-ewma", [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.mac_config.neighbor_ewma = parse_double(k, v);
-       }},
-      {"checkpoint-every-s",
-       [](ScenarioConfig& c, const std::string& k, const std::string& v) {
-         c.checkpoint_every = Duration::from_seconds(parse_double(k, v));
-       }},
-      {"checkpoint-path", [](ScenarioConfig& c, const std::string&, const std::string& v) {
-         c.checkpoint_path = v;
-       }},
-  };
-  return kSetters;
-}
-
-}  // namespace
-
-std::vector<std::string> scenario_keys() {
-  std::vector<std::string> keys;
-  keys.reserve(setters().size());
-  for (const auto& [key, setter] : setters()) keys.push_back(key);
-  return keys;
-}
-
 ScenarioConfig load_scenario(std::istream& is, ScenarioConfig base) {
-  ScenarioConfig config = base;
-  const std::map<std::string, Setter>& kSetters = setters();
-
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    // Trim.
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-
+    line = trim(line.substr(0, line.find('#')));
+    if (line.empty()) continue;
+    const std::string where = "scenario line " + std::to_string(line_no);
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                                  ": expected 'key = value', got '" + line + "'");
+      throw std::invalid_argument(where + ": expected 'key = value', got '" + line + "'");
     }
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t");
-      const auto e = s.find_last_not_of(" \t");
-      return b == std::string::npos ? std::string{} : s.substr(b, e - b + 1);
-    };
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
-    const auto it = kSetters.find(key);
-    if (it == kSetters.end()) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                                  ": unknown key '" + key + "'");
-    }
-    it->second(config, key, value);
+    bool known = false;
+    for_each_scenario_option(
+        [&](const ScenarioOption& option, auto& member) {
+          if (option.key != key) return;
+          set_option(option, where + ": scenario key '" + key + "'", value, member);
+          known = true;
+        },
+        base);
+    if (!known) throw std::invalid_argument(where + ": unknown key '" + key + "'");
   }
-  return config;
+  return base;
 }
 
 ScenarioConfig load_scenario_file(const std::string& path, ScenarioConfig base) {
   std::ifstream is{path};
   if (!is) throw std::invalid_argument("cannot open scenario file " + path);
   return load_scenario(is, std::move(base));
+}
+
+std::vector<CliParser::FlagSpec> scenario_flag_specs(ScenarioTool tool) {
+  std::vector<CliParser::FlagSpec> specs;
+  const ScenarioConfig defaults = paper_default_scenario();
+  for_each_scenario_option(
+      [&](const ScenarioOption& option, const auto& value) {
+        if ((option.tools & tool) == 0) return;
+        const std::string flag{option.flag()};
+        specs.push_back({flag, format_value("--" + flag, value),
+                         std::string{option.help} + " [key: " + std::string{option.key} + "]"});
+      },
+      defaults);
+  return specs;
+}
+
+void apply_scenario_flags(const CliParser& cli, ScenarioTool tool, ScenarioConfig& config) {
+  for_each_scenario_option(
+      [&](const ScenarioOption& option, auto& member) {
+        const std::string flag{option.flag()};
+        if ((option.tools & tool) == 0 || !cli.given(flag)) return;
+        set_option(option, "--" + flag, cli.get(flag), member);
+      },
+      config);
 }
 
 }  // namespace aquamac

@@ -1,8 +1,6 @@
 #include "net/relay.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "sim/checkpoint.hpp"
 
@@ -14,12 +12,6 @@ std::string_view to_string(RelayDropPolicy policy) {
     case RelayDropPolicy::kOldestFirst: return "oldest-first";
   }
   return "?";
-}
-
-RelayDropPolicy relay_drop_policy_from_string(std::string_view name) {
-  if (name == "tail-drop") return RelayDropPolicy::kTailDrop;
-  if (name == "oldest-first") return RelayDropPolicy::kOldestFirst;
-  throw std::invalid_argument("unknown relay drop policy: " + std::string(name));
 }
 
 void RelayCounters::visit_state(StateArchive& ar) {

@@ -37,8 +37,6 @@ namespace aquamac {
 enum class RelayDropPolicy : std::uint8_t { kTailDrop, kOldestFirst };
 
 [[nodiscard]] std::string_view to_string(RelayDropPolicy policy);
-/// Parses "tail-drop" / "oldest-first"; throws std::invalid_argument.
-[[nodiscard]] RelayDropPolicy relay_drop_policy_from_string(std::string_view name);
 
 /// Hop-by-hop reliability knobs (`reliability.*` scenario keys). The
 /// defaults keep the ARQ off — max_retries 0 reproduces the legacy relay

@@ -1,8 +1,6 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "util/cell_grid.hpp"
 
@@ -15,13 +13,6 @@ std::string_view to_string(RoutingKind kind) {
     case RoutingKind::kDv: return "dv";
   }
   return "?";
-}
-
-RoutingKind routing_kind_from_string(std::string_view name) {
-  if (name == "greedy") return RoutingKind::kGreedy;
-  if (name == "tree") return RoutingKind::kTree;
-  if (name == "dv") return RoutingKind::kDv;
-  throw std::invalid_argument("unknown routing kind: " + std::string(name));
 }
 
 UphillRouter::UphillRouter(const std::vector<Vec3>& positions, double range_m) {

@@ -28,8 +28,6 @@ namespace aquamac {
 enum class RoutingKind : std::uint8_t { kGreedy, kTree, kDv };
 
 [[nodiscard]] std::string_view to_string(RoutingKind kind);
-/// Parses "greedy" / "tree" / "dv"; throws std::invalid_argument.
-[[nodiscard]] RoutingKind routing_kind_from_string(std::string_view name);
 
 class UphillRouter {
  public:

@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "harness/checkpoint_run.hpp"
+#include "harness/config_io.hpp"
 #include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "net/network.hpp"
@@ -45,9 +47,12 @@ class VectorTrace final : public TraceSink {
 TEST(RelayDropPolicy, NamesRoundTrip) {
   EXPECT_EQ(to_string(RelayDropPolicy::kTailDrop), "tail-drop");
   EXPECT_EQ(to_string(RelayDropPolicy::kOldestFirst), "oldest-first");
-  EXPECT_EQ(relay_drop_policy_from_string("tail-drop"), RelayDropPolicy::kTailDrop);
-  EXPECT_EQ(relay_drop_policy_from_string("oldest-first"), RelayDropPolicy::kOldestFirst);
-  EXPECT_THROW((void)relay_drop_policy_from_string("newest"), std::invalid_argument);
+  // Parsing is the scenario parser's, which spells enums by to_string.
+  std::stringstream oldest{"reliability-drop-policy = oldest-first\n"};
+  EXPECT_EQ(load_scenario(oldest, paper_default_scenario()).reliability.drop_policy,
+            RelayDropPolicy::kOldestFirst);
+  std::stringstream newest{"reliability-drop-policy = newest\n"};
+  EXPECT_THROW((void)load_scenario(newest, paper_default_scenario()), std::invalid_argument);
 }
 
 TEST(ReliabilityCounters, AdditiveWithHighwaterMax) {

@@ -1,6 +1,8 @@
 // Protocol x physics soak grid: every protocol under every
 // (propagation, reception) combination on a mid-size network, verifying
-// that the full cross-product works, conserves, and reproduces.
+// that the full cross-product works, conserves, and reproduces. The grid
+// runs at 0.4 kbps; SoakGridLoaded adds one 2 kbps point per
+// paper-comparison protocol, where contention is heavy.
 //
 // Each point is also pinned by a per-protocol digest table
 // (tests/data/soak_golden.txt), one row per point:
@@ -104,7 +106,8 @@ std::map<std::string, std::string>& golden_table() {
   return table;
 }
 
-class SoakGrid : public ::testing::TestWithParam<SoakPoint> {
+template <typename Param>
+class SoakSuite : public ::testing::TestWithParam<Param> {
  public:
   static void TearDownTestSuite() {
     if (!updating()) return;
@@ -116,14 +119,17 @@ class SoakGrid : public ::testing::TestWithParam<SoakPoint> {
   }
 };
 
-TEST_P(SoakGrid, RunsConservesDelivers) {
-  const SoakPoint point = GetParam();
+class SoakGrid : public SoakSuite<SoakPoint> {};
+class SoakGridLoaded : public SoakSuite<MacKind> {};
+
+/// Runs one point and checks it against its row of the digest table.
+void run_soak_point(const SoakPoint& point, double load_kbps) {
   ScenarioConfig config = small_test_scenario();
   config.mac = point.mac;
   config.propagation = point.propagation;
   config.reception = point.reception;
+  config.traffic.offered_load_kbps = load_kbps;
   config.node_count = 24;
-  config.traffic.offered_load_kbps = 0.4;
   config.enable_mobility = true;
   config.sim_time = Duration::seconds(150);
 
@@ -163,6 +169,12 @@ TEST_P(SoakGrid, RunsConservesDelivers) {
   EXPECT_EQ(it->second, row) << "columns: stats-json-fnv trace-digest model-digest";
 }
 
+TEST_P(SoakGrid, RunsConservesDelivers) { run_soak_point(GetParam(), 0.4); }
+
+TEST_P(SoakGridLoaded, RunsConservesDelivers) {
+  run_soak_point({GetParam(), PropagationKind::kStraightLine, ReceptionKind::kDeterministic}, 2.0);
+}
+
 std::vector<SoakPoint> grid() {
   std::vector<SoakPoint> points;
   for (MacKind mac : {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac,
@@ -193,6 +205,15 @@ INSTANTIATE_TEST_SUITE_P(FullCrossProduct, SoakGrid, ::testing::ValuesIn(grid())
                                        ? "_det"
                                        : "_sinr";
                            return name;
+                         });
+
+INSTANTIATE_TEST_SUITE_P(PaperSet, SoakGridLoaded, ::testing::ValuesIn(paper_comparison_set()),
+                         [](const auto& param_info) {
+                           std::string name{to_string(param_info.param)};
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name + "_straight_det_2kbps";
                          });
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "harness/config_io.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "util/cli.hpp"
@@ -58,11 +59,7 @@ MetricFn metric_by_name(const std::string& name) {
 
 int run(const CliParser& cli) {
   ScenarioConfig base = paper_default_scenario();
-  base.node_count = static_cast<std::size_t>(cli.get_int("nodes"));
-  base.traffic.offered_load_kbps = cli.get_double("load");
-  base.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  base.jobs = static_cast<unsigned>(cli.get_int("jobs"));
-  base.multi_hop = cli.get_bool("multi-hop");
+  apply_scenario_flags(cli, kCompareTool, base);
 
   const std::vector<double> xs = parse_values(cli.get("values"));
   const std::vector<MacKind> protocols = parse_protocols(cli.get("protocols"));
@@ -110,27 +107,23 @@ int run(const CliParser& cli) {
 
 int main(int argc, char** argv) {
   using aquamac::CliParser;
-  CliParser cli{"aquamac_compare",
-                {
-                    {"x", "load", "swept axis: load, nodes, packet-bits, range"},
-                    {"values", "0.2,0.4,0.6,0.8,1.0", "comma-separated x values"},
-                    {"protocols", "paper", "comma-separated protocol names, or 'paper' for "
-                                           "S-FAMA,ROPA,CS-MAC,EW-MAC"},
-                    {"metric", "throughput", "throughput, delivery, power, energy, overhead, "
-                                             "efficiency, latency, exectime, collisions, "
-                                             "extras, fairness, e2e-delivery, hops, "
-                                             "e2e-latency"},
-                    {"normalize", "false", "divide each cell by the S-FAMA value (Figs. "
-                                           "10/11 style)"},
-                    {"reps", "3", "seed replications per point"},
-                    {"nodes", "60", "node count when not the swept axis"},
-                    {"load", "0.5", "offered load when not the swept axis"},
-                    {"seed", "1", "base seed"},
-                    {"jobs", "0", "worker threads for the sweep (0 = all cores, "
-                                  "1 = serial; results are identical either way)"},
-                    {"multi-hop", "false", "relay traffic to surface sinks (Fig.-1 mode)"},
-                    {"csv", "", "write CSV here instead of printing a table"},
-                }};
+  std::vector<CliParser::FlagSpec> flags = aquamac::scenario_flag_specs(aquamac::kCompareTool);
+  flags.insert(flags.end(),
+               {
+                   {"x", "load", "swept axis: load, nodes, packet-bits, range"},
+                   {"values", "0.2,0.4,0.6,0.8,1.0", "comma-separated x values"},
+                   {"protocols", "paper", "comma-separated protocol names, or 'paper' for "
+                                          "S-FAMA,ROPA,CS-MAC,EW-MAC"},
+                   {"metric", "throughput", "throughput, delivery, power, energy, overhead, "
+                                            "efficiency, latency, exectime, collisions, "
+                                            "extras, fairness, e2e-delivery, hops, "
+                                            "e2e-latency"},
+                   {"normalize", "false", "divide each cell by the S-FAMA value (Figs. "
+                                          "10/11 style)"},
+                   {"reps", "3", "seed replications per point"},
+                   {"csv", "", "write CSV here instead of printing a table"},
+               });
+  CliParser cli{"aquamac_compare", std::move(flags)};
   try {
     if (!cli.parse(argc, argv)) {
       std::cout << cli.help_text();
