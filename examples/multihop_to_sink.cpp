@@ -28,8 +28,7 @@ int main() {
             << "3 seeds)\n\n";
 
   Table table{{"protocol", "e2e delivery", "mean hops", "e2e latency s", "MAC tput kbps"}};
-  for (MacKind kind : {MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac, MacKind::kEwMac,
-                       MacKind::kDots}) {
+  for (MacKind kind : paper_comparison_set()) {
     double delivery = 0.0;
     double hops = 0.0;
     double latency = 0.0;

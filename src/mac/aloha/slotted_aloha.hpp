@@ -5,33 +5,27 @@
 // below the paper's comparison set as a sanity floor for the simulator
 // (any handshake protocol must beat it once load grows).
 
-#include "mac/slotted_mac.hpp"
+#include "mac/acked_data_mac.hpp"
 
 namespace aquamac {
 
-class SlottedAloha final : public SlottedMac {
+class SlottedAloha final : public AckedDataMac {
  public:
-  using SlottedMac::SlottedMac;
+  using AckedDataMac::AckedDataMac;
 
   [[nodiscard]] std::string_view name() const override { return "S-ALOHA"; }
-  void start() override;
 
   void visit_state(StateArchive& ar) override;
 
  protected:
-  void handle_frame(const Frame& frame, const RxInfo& info) override;
-  void handle_tx_done(const Frame& frame) override;
   void handle_packet_enqueued() override;
+  void contend(bool retry) override;
 
  private:
   void schedule_attempt(std::int64_t extra_slots);
   void attempt();
-  void on_ack_timeout(std::uint64_t packet_id);
 
-  bool awaiting_ack_{false};
-  std::uint64_t awaited_packet_{0};
   EventHandle attempt_event_{};
-  EventHandle timeout_event_{};
 };
 
 }  // namespace aquamac

@@ -76,11 +76,7 @@ void CsMac::maybe_steal(const Frame& negotiation, const RxInfo& info) {
       if (state() == kStealing) {
         // The steal collided somewhere; fall back to normal contention.
         set_state(State::kIdle);
-        Packet* head_packet = head_mutable();
-        if (head_packet != nullptr) head_packet->retries += 1;
-        if (head_packet != nullptr && head_packet->retries > config_.max_retries) {
-          drop_head_packet();
-        }
+        retry_or_drop_head();
         if (head() != nullptr) schedule_attempt(0);
       }
     });

@@ -6,34 +6,30 @@
 // transmits when the counter expires; delivery is confirmed by an Ack.
 // Included as the substrate sanity baseline.
 
-#include "mac/slotted_mac.hpp"
+#include "mac/acked_data_mac.hpp"
 
 namespace aquamac {
 
-class CwMac final : public SlottedMac {
+class CwMac final : public AckedDataMac {
  public:
-  using SlottedMac::SlottedMac;
+  using AckedDataMac::AckedDataMac;
 
   [[nodiscard]] std::string_view name() const override { return "CW-MAC"; }
-  void start() override;
 
   void visit_state(StateArchive& ar) override;
 
  protected:
-  void handle_frame(const Frame& frame, const RxInfo& info) override;
   void handle_packet_enqueued() override;
+  void contend(bool retry) override;
+  void overheard(const Frame& frame, const RxInfo& info) override;
 
  private:
   void arm_countdown();
   void on_slot_boundary();
   void fire();
-  void on_ack_timeout(std::uint64_t packet_id);
 
   std::int64_t counter_{-1};  ///< -1 = not contending
-  bool awaiting_ack_{false};
-  std::uint64_t awaited_packet_{0};
   EventHandle tick_event_{};
-  EventHandle timeout_event_{};
 };
 
 }  // namespace aquamac

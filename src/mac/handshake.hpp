@@ -10,7 +10,6 @@
 // checks query it before choosing EXR / EXDATA launch times.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "phy/frame.hpp"
@@ -45,38 +44,13 @@ class ScheduleBook {
     std::erase_if(windows_, [now](const Window& w) { return w.interval.end <= now; });
   }
 
-  /// Would a packet occupying `arrival` at `neighbor` overlap a window in
-  /// which that neighbor is predicted busy (either direction)? A neighbor
-  /// receiving must not be hit (it garbles the negotiated packet); a
-  /// neighbor transmitting cannot hear us anyway, and our arrival there
-  /// is harmless, so only kReceiving windows conflict by default.
-  [[nodiscard]] bool conflicts(NodeId neighbor, TimeInterval arrival,
-                               bool include_tx_windows = false) const {
-    for (const Window& w : windows_) {
-      if (w.neighbor != neighbor) continue;
-      if (!include_tx_windows && w.kind == BusyKind::kTransmitting) continue;
-      if (w.interval.overlaps(arrival)) return true;
-    }
-    return false;
-  }
-
-  /// Latest predicted busy end for `neighbor` (nullopt when none).
-  [[nodiscard]] std::optional<Time> busy_until(NodeId neighbor) const {
-    std::optional<Time> latest;
-    for (const Window& w : windows_) {
-      if (w.neighbor != neighbor) continue;
-      if (!latest || w.interval.end > *latest) latest = w.interval.end;
-    }
-    return latest;
-  }
-
   [[nodiscard]] const std::vector<Window>& windows() const { return windows_; }
   [[nodiscard]] bool empty() const { return windows_.empty(); }
   [[nodiscard]] std::size_t size() const { return windows_.size(); }
   void clear() { windows_.clear(); }
 
   /// Checkpoint encoding: windows verbatim, in vector order (the order is
-  /// part of the deterministic state — conflicts() scans front to back).
+  /// part of the deterministic state — EW-MAC scans front to back).
   void visit_state(StateArchive& ar);
 
  private:

@@ -1,8 +1,6 @@
 #include "mac/handshake_mac.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <string>
 
 #include "sim/checkpoint.hpp"
 
@@ -18,11 +16,7 @@ void HandshakeMac::visit_state(StateArchive& ar) {
 
 void HandshakeMac::visit_handshake(StateArchive& ar,
                                    const std::function<void(StateArchive&)>& own) {
-  SlottedMac::visit_state(ar);
-  std::string section{name()};
-  std::transform(section.begin(), section.end(), section.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  ar.section(section, [&](StateArchive& a) {
+  visit_protocol(ar, [&](StateArchive& a) {
     a.as<std::uint32_t>(state_);
     a.handle(attempt_event_);
     a.handle(timeout_event_);
@@ -117,11 +111,6 @@ void HandshakeMac::attempt_rts() {
   rts.data_duration = data_airtime(packet->bits);
   if (const auto delay = neighbors_.delay_to(packet->dst)) rts.pair_delay = *delay;
   decorate_negotiation(rts);
-  if (packet->retries > 0) {
-    counters_.retransmitted_frames += 1;
-    counters_.retransmitted_bits += rts.size_bits;
-  }
-  counters_.handshake_attempts += 1;
   if (trace_ != nullptr) {
     TraceEvent ev{};
     ev.kind = TraceEventKind::kSlotBoundary;
@@ -129,7 +118,7 @@ void HandshakeMac::attempt_rts() {
     ev.a = slot_index(sim_.now());
     trace_mac(ev);
   }
-  transmit(rts);
+  transmit_attempt(rts);
   set_state(State::kWaitCts);
 
   // CTS is sent at slot t+1 and arrives within it; give one slot slack.
@@ -161,15 +150,12 @@ void HandshakeMac::record_contention_loss(const Frame* negotiation) {
 void HandshakeMac::fail_and_backoff() {
   set_state(State::kIdle);
   backed_off();
-  Packet* packet = head_mutable();
-  if (packet == nullptr) return;
-  packet->retries += 1;
-  if (packet->retries > config_.max_retries) {
-    drop_head_packet();
+  if (head() == nullptr) return;
+  if (retry_or_drop_head()) {
     if (head() != nullptr) schedule_attempt(0);
     return;
   }
-  schedule_attempt(backoff_slots(packet->retries));
+  schedule_attempt(backoff_slots(head()->retries));
 }
 
 void HandshakeMac::on_cts(const Frame& frame, const RxInfo& info) {

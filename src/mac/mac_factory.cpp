@@ -7,7 +7,6 @@
 #include "mac/aloha/slotted_aloha.hpp"
 #include "mac/csmac/cs_mac.hpp"
 #include "mac/cwmac/cw_mac.hpp"
-#include "mac/dots/dots_mac.hpp"
 #include "mac/ewmac/ew_mac.hpp"
 #include "mac/macau/maca_u.hpp"
 #include "mac/ropa/ropa.hpp"
@@ -23,17 +22,14 @@ std::string_view to_string(MacKind kind) {
     case MacKind::kCsMac: return "CS-MAC";
     case MacKind::kCwMac: return "CW-MAC";
     case MacKind::kSlottedAloha: return "S-ALOHA";
-    case MacKind::kDots: return "DOTS";
     case MacKind::kMacaU: return "MACA-U";
   }
   return "?";
 }
 
 MacKind mac_kind_from_string(std::string_view name) {
-  for (MacKind kind : {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac,
-                       MacKind::kCwMac, MacKind::kSlottedAloha,
-                       MacKind::kDots, MacKind::kMacaU}) {
-    if (to_string(kind) == name) return kind;
+  for (int i = 0; to_string(static_cast<MacKind>(i)) != "?"; ++i) {
+    if (to_string(static_cast<MacKind>(i)) == name) return static_cast<MacKind>(i);
   }
   throw std::invalid_argument("unknown MAC protocol: " + std::string{name});
 }
@@ -81,8 +77,6 @@ std::unique_ptr<MacProtocol> make_mac(MacKind kind, Simulator& sim, AcousticMode
       return std::make_unique<CwMac>(sim, modem, neighbors, config, rng, std::move(log));
     case MacKind::kSlottedAloha:
       return std::make_unique<SlottedAloha>(sim, modem, neighbors, config, rng, std::move(log));
-    case MacKind::kDots:
-      return std::make_unique<DotsMac>(sim, modem, neighbors, config, rng, std::move(log));
     case MacKind::kMacaU:
       return std::make_unique<MacaU>(sim, modem, neighbors, config, rng, std::move(log));
   }

@@ -18,13 +18,12 @@ enum class MacKind {
   kCsMac,
   kCwMac,
   kSlottedAloha,
-  kDots,   ///< DOTS-lite extension baseline (not in the paper's set)
   kMacaU,  ///< MACA-U (paper ref [10]): unslotted RTS/CTS baseline
 };
 
 [[nodiscard]] std::string_view to_string(MacKind kind);
 
-/// Parses "EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "CW-MAC", "S-ALOHA", "DOTS", "MACA-U"
+/// Parses "EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "CW-MAC", "S-ALOHA", "MACA-U"
 /// (case-sensitive); throws std::invalid_argument on unknown names.
 [[nodiscard]] MacKind mac_kind_from_string(std::string_view name);
 

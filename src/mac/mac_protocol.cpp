@@ -179,6 +179,25 @@ void MacProtocol::drop_head_packet() {
   record_handshake_silence(packet.dst);
 }
 
+void MacProtocol::transmit_attempt(Frame frame) {
+  if (!queue_.empty() && queue_.front().retries > 0) {
+    counters_.retransmitted_frames += 1;
+    counters_.retransmitted_bits += frame.size_bits;
+  }
+  counters_.handshake_attempts += 1;
+  transmit(std::move(frame));
+}
+
+bool MacProtocol::retry_or_drop_head() {
+  if (queue_.empty()) return false;
+  queue_.front().retries += 1;
+  if (queue_.front().retries > config_.max_retries) {
+    drop_head_packet();
+    return true;
+  }
+  return false;
+}
+
 bool MacProtocol::deliver_data(const Frame& frame) {
   const auto it = delivered_seq_high_.find(frame.src);
   if (it != delivered_seq_high_.end() && frame.seq <= it->second) {

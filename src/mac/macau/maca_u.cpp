@@ -14,8 +14,6 @@ void MacaU::visit_state(StateArchive& ar) {
   });
 }
 
-void MacaU::start() {}
-
 void MacaU::set_state(State next) {
   if (next != state_) trace_state(static_cast<int>(state_), static_cast<int>(next));
   state_ = next;
@@ -48,12 +46,7 @@ void MacaU::attempt_rts() {
   rts.seq = packet->id;
   rts.data_duration = data_airtime(packet->bits);
   if (const auto delay = neighbors_.delay_to(packet->dst)) rts.pair_delay = *delay;
-  if (packet->retries > 0) {
-    counters_.retransmitted_frames += 1;
-    counters_.retransmitted_bits += rts.size_bits;
-  }
-  counters_.handshake_attempts += 1;
-  transmit(rts);
+  transmit_attempt(rts);
   set_state(State::kWaitCts);
 
   // CTS deadline: one worst-case round trip plus both airtimes.
@@ -78,16 +71,13 @@ void MacaU::attempt_rts() {
 
 void MacaU::fail_and_backoff() {
   set_state(State::kIdle);
-  Packet* packet = head_mutable();
-  if (packet == nullptr) return;
-  packet->retries += 1;
-  if (packet->retries > config_.max_retries) {
-    drop_head_packet();
+  if (head() == nullptr) return;
+  if (retry_or_drop_head()) {
     if (head() != nullptr) schedule_attempt(config_.guard);
     return;
   }
   const double window_s =
-      static_cast<double>(backoff_slots(packet->retries)) * config_.tau_max.to_seconds();
+      static_cast<double>(backoff_slots(head()->retries)) * config_.tau_max.to_seconds();
   schedule_attempt(Duration::from_seconds(rng_.uniform(0.0, window_s)));
 }
 

@@ -21,7 +21,6 @@ class MacaU final : public SlottedMac {
   using SlottedMac::SlottedMac;
 
   [[nodiscard]] std::string_view name() const override { return "MACA-U"; }
-  void start() override;
 
   void visit_state(StateArchive& ar) override;
 

@@ -7,6 +7,8 @@
 // assumed, §3.1). Negotiated packets start exactly on slot boundaries;
 // the extra packets of EW-MAC deliberately do not.
 
+#include <functional>
+
 #include "mac/mac_protocol.hpp"
 
 namespace aquamac {
@@ -39,6 +41,10 @@ class SlottedMac : public MacProtocol {
   }
 
  protected:
+  /// Visits the slotted state, then `own` in one section named after the
+  /// protocol in lower case ("ew-mac", "s-aloha", ...).
+  void visit_protocol(StateArchive& ar, const std::function<void(StateArchive&)>& own);
+
   /// Defers own initiations until `t` (Quiet state). Monotone max.
   void set_quiet_until(Time t) {
     if (t > quiet_until_) quiet_until_ = t;
@@ -46,12 +52,15 @@ class SlottedMac : public MacProtocol {
   [[nodiscard]] bool quiet_now() const { return sim_.now() < quiet_until_; }
   [[nodiscard]] Time quiet_until() const { return quiet_until_; }
 
-  /// Binary-exponential backoff: uniform in [1, cw] whole slots, with cw
-  /// = min(cw_min << retries, cw_max).
+  /// Contention window after `retries` failures, in whole slots:
+  /// min(cw_min << retries, cw_max).
+  [[nodiscard]] std::uint64_t contention_window(std::uint32_t retries) const {
+    const std::uint64_t cw = static_cast<std::uint64_t>(config_.cw_min_slots) << retries;
+    return std::min<std::uint64_t>(cw, config_.cw_max_slots);
+  }
+  /// Binary-exponential backoff: uniform in [1, contention_window] slots.
   [[nodiscard]] std::int64_t backoff_slots(std::uint32_t retries) {
-    std::uint64_t cw = static_cast<std::uint64_t>(config_.cw_min_slots) << retries;
-    cw = std::min<std::uint64_t>(cw, config_.cw_max_slots);
-    return static_cast<std::int64_t>(rng_.below(cw)) + 1;
+    return static_cast<std::int64_t>(rng_.below(contention_window(retries))) + 1;
   }
 
  private:

@@ -280,7 +280,7 @@ TEST(CheckpointDeterminism, TamperedPayloadFailsReplayVerification) {
 TEST(CheckpointDeterminism, EveryProtocolResumes) {
   for (const MacKind mac :
        {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac, MacKind::kCwMac,
-        MacKind::kSlottedAloha, MacKind::kDots, MacKind::kMacaU}) {
+        MacKind::kSlottedAloha, MacKind::kMacaU}) {
     SCOPED_TRACE(to_string(mac));
     ScenarioConfig config = grid3d_scenario(64, 3);
     config.mac = mac;

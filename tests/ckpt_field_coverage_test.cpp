@@ -52,7 +52,7 @@ void expect_roundtrip_clean(ScenarioConfig config, double capture_s) {
 TEST(CkptFieldCoverage, EveryMacRoundTripsMidRun) {
   for (const MacKind kind :
        {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac, MacKind::kCwMac,
-        MacKind::kSlottedAloha, MacKind::kDots, MacKind::kMacaU}) {
+        MacKind::kSlottedAloha, MacKind::kMacaU}) {
     SCOPED_TRACE(std::string{to_string(kind)});
     ScenarioConfig config = small_test_scenario();
     config.mac = kind;

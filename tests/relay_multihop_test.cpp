@@ -133,7 +133,7 @@ TEST_P(MultiHopNetwork, EndToEndStatsAreConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, MultiHopNetwork,
-                         ::testing::Values(MacKind::kEwMac, MacKind::kSFama, MacKind::kDots),
+                         ::testing::Values(MacKind::kEwMac, MacKind::kSFama),
                          [](const auto& param_info) {
                            std::string name{to_string(param_info.param)};
                            for (char& c : name) {

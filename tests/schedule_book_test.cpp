@@ -9,25 +9,6 @@ TimeInterval interval(double begin_s, double end_s) {
   return TimeInterval{Time::from_seconds(begin_s), Time::from_seconds(end_s)};
 }
 
-TEST(ScheduleBook, ConflictDetection) {
-  ScheduleBook book;
-  book.add(3, interval(10.0, 12.0), BusyKind::kReceiving);
-  EXPECT_TRUE(book.conflicts(3, interval(11.0, 11.5)));
-  EXPECT_TRUE(book.conflicts(3, interval(9.0, 10.5)));
-  EXPECT_FALSE(book.conflicts(3, interval(12.0, 13.0))) << "half-open windows";
-  EXPECT_FALSE(book.conflicts(4, interval(11.0, 11.5))) << "per-neighbor";
-}
-
-TEST(ScheduleBook, TransmitWindowsIgnoredByDefault) {
-  // A neighbor that is transmitting cannot be harmed by our arrival — it
-  // will not hear it anyway — so kTransmitting does not conflict unless
-  // explicitly requested.
-  ScheduleBook book;
-  book.add(3, interval(10.0, 12.0), BusyKind::kTransmitting);
-  EXPECT_FALSE(book.conflicts(3, interval(11.0, 11.5)));
-  EXPECT_TRUE(book.conflicts(3, interval(11.0, 11.5), /*include_tx_windows=*/true));
-}
-
 TEST(ScheduleBook, PruneDropsPastWindows) {
   ScheduleBook book;
   book.add(1, interval(1.0, 2.0), BusyKind::kReceiving);
@@ -37,16 +18,6 @@ TEST(ScheduleBook, PruneDropsPastWindows) {
   EXPECT_EQ(book.size(), 2u);
   book.prune(Time::from_seconds(4.0));
   EXPECT_EQ(book.size(), 1u) << "windows ending exactly at now are pruned";
-}
-
-TEST(ScheduleBook, BusyUntil) {
-  ScheduleBook book;
-  EXPECT_FALSE(book.busy_until(1).has_value());
-  book.add(1, interval(1.0, 2.0), BusyKind::kReceiving);
-  book.add(1, interval(5.0, 8.0), BusyKind::kTransmitting);
-  book.add(2, interval(20.0, 30.0), BusyKind::kReceiving);
-  ASSERT_TRUE(book.busy_until(1).has_value());
-  EXPECT_EQ(*book.busy_until(1), Time::from_seconds(8.0));
 }
 
 TEST(ScheduleBook, ClearAndEmpty) {
@@ -65,10 +36,12 @@ TEST(ScheduleBook, ManyWindowsStressPrune) {
   }
   book.prune(Time::from_seconds(500.0));
   EXPECT_EQ(book.size(), 500u);
-  EXPECT_FALSE(book.conflicts(3, interval(100.0, 200.0)))
-      << "neighbor 3's windows below 500 s were pruned";
-  EXPECT_TRUE(book.conflicts(3, interval(703.2, 703.5)))
-      << "window [703, 704) belongs to neighbor 3 (703 % 10 == 3)";
+  for (const ScheduleBook::Window& w : book.windows()) {
+    EXPECT_GT(w.interval.end, Time::from_seconds(500.0)) << "windows below 500 s were pruned";
+  }
+  EXPECT_EQ(book.windows().front().interval.begin, Time::from_seconds(500.0))
+      << "survivors keep their insertion order";
+  EXPECT_EQ(book.windows()[203].neighbor, 3u) << "window [703, 704) belongs to neighbor 3";
 }
 
 }  // namespace

@@ -178,8 +178,7 @@ TEST_P(SoakGridLoaded, RunsConservesDelivers) {
 std::vector<SoakPoint> grid() {
   std::vector<SoakPoint> points;
   for (MacKind mac : {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac,
-                      MacKind::kCwMac, MacKind::kSlottedAloha, MacKind::kDots,
-                      MacKind::kMacaU}) {
+                      MacKind::kCwMac, MacKind::kSlottedAloha, MacKind::kMacaU}) {
     for (PropagationKind propagation :
          {PropagationKind::kStraightLine, PropagationKind::kBellhopLite}) {
       for (ReceptionKind reception :

@@ -86,7 +86,7 @@ std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   for (const MacKind mac :
        {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac, MacKind::kCwMac,
-        MacKind::kSlottedAloha, MacKind::kDots, MacKind::kMacaU}) {
+        MacKind::kSlottedAloha, MacKind::kMacaU}) {
     std::string name = "mobile12_" + std::string{to_string(mac)};
     for (char& c : name) {
       if (c == '-') c = '_';
