@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -88,6 +89,10 @@ void check_storable(const std::string& what, const std::string& text) {
                               "break, or leading or trailing blank)");
 }
 
+/// Durations travel as decimal seconds, which reload to the same
+/// nanosecond count only within this magnitude (about 26 days).
+constexpr std::int64_t kMaxDurationNs = std::int64_t{1} << 51;
+
 /// Index of `text` in `names`; throws listing the accepted spellings.
 std::size_t parse_choice(const std::string& what, const std::string& text,
                          const std::vector<std::string_view>& names) {
@@ -126,9 +131,9 @@ void parse_value(const std::string& what, const std::string& text, T& out) {
   } else if constexpr (std::is_same_v<T, Duration>) {
     double seconds = 0.0;
     parse_value(what, text, seconds);
-    if (!(std::abs(seconds * 1e9) < 0x1p63)) {
+    if (!(std::abs(seconds * 1e9) <= static_cast<double>(kMaxDurationNs))) {
       throw std::invalid_argument(what + ": " + text +
-                                  " s does not fit the int64 nanosecond clock");
+                                  " s is beyond 2^51 ns, where durations stop round-tripping");
     }
     out = Duration::from_seconds(seconds);
   } else {
@@ -156,6 +161,10 @@ std::string format_value(const std::string& what, const T& value) {
     os << value;
     return os.str();
   } else if constexpr (std::is_same_v<T, Duration>) {
+    if (value.count_ns() > kMaxDurationNs || value.count_ns() < -kMaxDurationNs) {
+      throw std::invalid_argument(what + ": " + std::to_string(value.count_ns()) +
+                                  " ns is beyond 2^51 ns and would not reload exactly");
+    }
     return format_value(what, value.to_seconds());
   } else {
     check_storable(what, value);
@@ -196,6 +205,7 @@ void save_scenario_file(const ScenarioConfig& config, const std::string& path) {
 }
 
 ScenarioConfig load_scenario(std::istream& is, ScenarioConfig base) {
+  std::map<std::string, int> line_of;  // key -> the line that set it
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
@@ -209,6 +219,11 @@ ScenarioConfig load_scenario(std::istream& is, ScenarioConfig base) {
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    if (const auto [first, fresh] = line_of.emplace(key, line_no); !fresh) {
+      throw std::invalid_argument(where + ": scenario key '" + key +
+                                  "' given twice (first on line " +
+                                  std::to_string(first->second) + ")");
+    }
     bool known = false;
     for_each_scenario_option(
         [&](const ScenarioOption& option, auto& member) {

@@ -435,6 +435,40 @@ TEST(ConfigIo, SaveRejectsStringsThatCannotRoundTrip) {
             config.checkpoint_path);
 }
 
+TEST(ConfigIo, KeyGivenTwiceIsRejectedNamingBothLines) {
+  // Keeping the last value would silently run EW-MAC here.
+  const std::string error =
+      load_error("mac = S-FAMA\n# edited by hand\nnode-count = 12\nmac = EW-MAC\n");
+  ASSERT_FALSE(error.empty()) << "loaded";
+  EXPECT_NE(error.find("'mac'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+}
+
+TEST(ConfigIo, DurationsBeyondTheExactRangeAreRefused) {
+  // Decimal seconds reload the same nanosecond count only within 2^51 ns.
+  ScenarioConfig config = small_test_scenario();
+  config.sim_time = Duration::nanoseconds(std::int64_t{1} << 52);
+  std::ostringstream os;
+  try {
+    save_scenario(config, os);
+    ADD_FAILURE() << "saved a duration that does not round-trip";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("'sim-time-s'"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(os.str().empty()) << "a failed save wrote a partial scenario";
+
+  const std::string error = load_error("sim-time-s = 4503599.627370496\n");  // 2^52 ns
+  ASSERT_FALSE(error.empty()) << "loaded";
+  EXPECT_NE(error.find("'sim-time-s'"), std::string::npos) << error;
+
+  // The edge itself still round-trips.
+  config.sim_time = Duration::nanoseconds(-(std::int64_t{1} << 51));
+  std::stringstream buffer;
+  save_scenario(config, buffer);
+  EXPECT_EQ(load_scenario(buffer, paper_default_scenario()).sim_time, config.sim_time);
+}
+
 // ---- Property tests over the option list -----------------------------------
 
 template <typename E>
