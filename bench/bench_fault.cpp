@@ -13,7 +13,6 @@
 //
 //   AQUAMAC_FAST=1 ./bench_fault      # 1 replication, short axes
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <map>
@@ -21,8 +20,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "harness/runner.hpp"
-#include "stats/invariant_auditor.hpp"
 
 namespace {
 
@@ -49,21 +46,12 @@ struct Axis {
 
 /// Mean delivery ratio over `replications` seeded runs, each with a
 /// hard-fail auditor scoped to healthy intervals. Throws on violation.
-double cell_delivery(ScenarioConfig config, unsigned replications) {
-  double sum = 0.0;
-  const std::uint64_t base_seed = config.seed;
-  for (unsigned k = 0; k < replications; ++k) {
-    config.seed = base_seed + k;
-    // Shrink EW-MAC's extra windows by exactly the clock spread this
-    // (seed, plan) realizes; zero when the cell injects no drift.
-    config.mac_config.guard_slack = realized_clock_uncertainty(config);
-    InvariantAuditor::Config audit = auditor_config_for(config);
-    audit.hard_fail = true;
-    InvariantAuditor auditor{audit};
-    config.trace = &auditor;
-    sum += run_scenario(config).delivery_ratio;
-  }
-  return sum / static_cast<double>(replications);
+double cell_delivery(const ScenarioConfig& config, unsigned replications) {
+  return bench::audited_mean(config, replications, [](ScenarioConfig& seeded) {
+           // Shrink EW-MAC's extra windows by exactly the clock spread this
+           // (seed, plan) realizes; zero when the cell injects no drift.
+           seeded.mac_config.guard_slack = realized_clock_uncertainty(seeded);
+         }).delivery_ratio;
 }
 
 }  // namespace
@@ -73,10 +61,7 @@ int main() {
   bench::print_header("Fault-injection degradation",
                       "robustness under drift / outages / burst loss (not a paper figure)");
 
-  const bool fast = [] {
-    const char* env = std::getenv("AQUAMAC_FAST");
-    return env != nullptr && env[0] == '1';
-  }();
+  const bool fast = bench::fast();
   const unsigned reps = bench::replications(10);
 
   std::vector<Axis> axes{
@@ -151,45 +136,35 @@ int main() {
 
   std::cout << "degradation monotone on gated axes: " << (monotone_ok ? "yes" : "NO") << "\n";
 
-  if (const char* off = std::getenv("AQUAMAC_NO_BENCH_JSON");
-      off == nullptr || off[0] != '1') {
-    const std::string path = bench::bench_output_dir() + "/BENCH_fault.json";
-    std::ofstream os{path};
-    if (!os) {
-      std::cerr << "warning: cannot open " << path << " for writing\n";
-    } else {
-      JsonWriter json{os};
-      json.begin_object();
-      json.key("bench").value("fault");
-      json.key("schema").value("aquamac-bench-fault-v1");
-      json.key("replications").value(static_cast<double>(reps));
-      json.key("monotone_ok").value(monotone_ok ? 1.0 : 0.0);
-      json.key("protocols").begin_array();
-      for (const MacKind mac : kProtocols) json.value(to_string(mac));
+  bench::write_json_file("fault", [&](JsonWriter& json) {
+    json.begin_object();
+    json.key("bench").value("fault");
+    json.key("schema").value("aquamac-bench-fault-v1");
+    json.key("replications").value(static_cast<double>(reps));
+    json.key("monotone_ok").value(monotone_ok ? 1.0 : 0.0);
+    json.key("protocols").begin_array();
+    for (const MacKind mac : kProtocols) json.value(to_string(mac));
+    json.end_array();
+    json.key("axes").begin_object();
+    for (const Axis& axis : axes) {
+      json.key(axis.name).begin_object();
+      json.key("xs").begin_array();
+      for (const double x : axis.xs) json.value(x);
       json.end_array();
-      json.key("axes").begin_object();
-      for (const Axis& axis : axes) {
-        json.key(axis.name).begin_object();
-        json.key("xs").begin_array();
-        for (const double x : axis.xs) json.value(x);
+      json.key("series").begin_object();
+      json.key("delivery_ratio").begin_object();
+      for (const MacKind mac : kProtocols) {
+        json.key(to_string(mac)).begin_array();
+        for (const double y : results[axis.name][std::string{to_string(mac)}]) json.value(y);
         json.end_array();
-        json.key("series").begin_object();
-        json.key("delivery_ratio").begin_object();
-        for (const MacKind mac : kProtocols) {
-          json.key(to_string(mac)).begin_array();
-          for (const double y : results[axis.name][std::string{to_string(mac)}]) json.value(y);
-          json.end_array();
-        }
-        json.end_object();
-        json.end_object();
-        json.end_object();
       }
       json.end_object();
       json.end_object();
-      os << "\n";
-      std::cout << "[bench json] wrote " << path << "\n";
+      json.end_object();
     }
-  }
+    json.end_object();
+    json.end_object();
+  });
 
   return monotone_ok ? 0 : 1;
 }

@@ -7,18 +7,15 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "figure_sweeps.hpp"
 
 int main() {
   using namespace aquamac;
   bench::print_header("Figure 6 — throughput vs offered load", "Hung & Luo, Fig. 6");
 
-  const ScenarioConfig base = paper_default_scenario();
-  const double xs[] = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
-
-  const SweepResult sweep = run_sweep(
-      base, paper_comparison_set(), xs,
-      [](ScenarioConfig& config, double load) { config.traffic.offered_load_kbps = load; },
-      bench::replications());
+  const suite::FigureSweep figure = suite::fig6_load_sweep();
+  const SweepResult sweep = run_sweep(figure.base, paper_comparison_set(), figure.xs,
+                                      figure.setter, bench::replications());
 
   sweep_table(sweep, "offered kbps",
               [](const MeanStats& m) { return m.throughput_kbps; })

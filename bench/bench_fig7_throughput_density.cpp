@@ -7,21 +7,15 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "figure_sweeps.hpp"
 
 int main() {
   using namespace aquamac;
   bench::print_header("Figure 7 — throughput vs sensor density", "Hung & Luo, Fig. 7");
 
-  ScenarioConfig base = paper_default_scenario();
-  base.traffic.offered_load_kbps = 0.8;
-  const double xs[] = {60, 80, 100, 120, 140};
-
-  const SweepResult sweep = run_sweep(
-      base, paper_comparison_set(), xs,
-      [](ScenarioConfig& config, double nodes) {
-        config.node_count = static_cast<std::size_t>(nodes);
-      },
-      bench::replications());
+  const suite::FigureSweep figure = suite::fig7_density_sweep();
+  const SweepResult sweep = run_sweep(figure.base, paper_comparison_set(), figure.xs,
+                                      figure.setter, bench::replications());
 
   sweep_table(sweep, "nodes", [](const MeanStats& m) { return m.throughput_kbps; })
       .print(std::cout);

@@ -4,32 +4,18 @@
 // packets/300 s (load ~0.136), then S-FAMA > ROPA > CS-MAC > EW-MAC
 // (larger = slower).
 
-#include <cmath>
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "figure_sweeps.hpp"
 
 int main() {
   using namespace aquamac;
   bench::print_header("Figure 8 — execution time vs offered load", "Hung & Luo, Fig. 8");
 
-  ScenarioConfig base = paper_default_scenario();
-  base.traffic.mode = TrafficMode::kBatch;
-  // Batch runs are open-ended: allow plenty of horizon so slow protocols
-  // still finish and report their true completion time.
-  base.sim_time = Duration::seconds(1'200);
-
-  const double xs[] = {0.01, 0.2, 0.4, 0.6, 0.8, 1.0};
-
-  const SweepResult sweep = run_sweep(
-      base, paper_comparison_set(), xs,
-      [](ScenarioConfig& config, double load) {
-        // Offered load in kbps over the 300 s window at 2048-bit packets:
-        // load * 1000 * 300 / 2048 packets (paper: 20 packets ~ 0.136).
-        const double packets = std::max(1.0, std::round(load * 1'000.0 * 300.0 / 2'048.0));
-        config.traffic.batch_packets = static_cast<std::uint32_t>(packets);
-      },
-      bench::replications());
+  const suite::FigureSweep figure = suite::fig8_batch_sweep();
+  const SweepResult sweep = run_sweep(figure.base, paper_comparison_set(), figure.xs,
+                                      figure.setter, bench::replications());
 
   sweep_table(sweep, "offered kbps",
               [](const MeanStats& m) { return m.execution_time_s; }, 1)

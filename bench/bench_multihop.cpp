@@ -19,7 +19,6 @@
 //
 //   AQUAMAC_FAST=1 ./bench_multihop   # 1 replication, smaller grid
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <map>
@@ -27,8 +26,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "harness/runner.hpp"
-#include "stats/invariant_auditor.hpp"
 
 namespace {
 
@@ -36,17 +33,6 @@ using namespace aquamac;
 
 const std::vector<RoutingKind> kRoutings{RoutingKind::kGreedy, RoutingKind::kTree,
                                          RoutingKind::kDv};
-
-/// The per-kind numbers one experiment reports (means over replications).
-struct Series {
-  double delivery{0.0};
-  double hop_stretch{0.0};
-  double mean_hops{0.0};
-  double e2e_latency_s{0.0};
-  double per_hop_latency_s{0.0};
-  double dropped_no_route{0.0};
-  double dropped_mac{0.0};
-};
 
 /// Fault-free static grid: the paper's Fig. 1 convergecast shape at
 /// scale. Mobility is off — the delivery gate reflects routing quality,
@@ -99,56 +85,29 @@ struct Series {
   return config;
 }
 
-/// Mean multi-hop series over `replications` seeded runs with a
-/// hard-fail auditor on each. Throws on an invariant violation.
-Series mean_series(ScenarioConfig config, unsigned replications) {
-  Series s;
-  const std::uint64_t base_seed = config.seed;
-  for (unsigned k = 0; k < replications; ++k) {
-    config.seed = base_seed + k;
-    InvariantAuditor::Config audit = auditor_config_for(config);
-    audit.hard_fail = true;
-    InvariantAuditor auditor{audit};
-    config.trace = &auditor;
-    const RunStats stats = run_scenario(config);
-    s.delivery += stats.e2e_delivery_ratio;
-    s.hop_stretch += stats.hop_stretch;
-    s.mean_hops += stats.mean_hops;
-    s.e2e_latency_s += stats.mean_e2e_latency_s;
-    s.per_hop_latency_s += stats.mean_per_hop_latency_s;
-    s.dropped_no_route += static_cast<double>(stats.e2e_dropped_no_route);
-    s.dropped_mac += static_cast<double>(stats.e2e_dropped_mac);
-  }
-  const auto n = static_cast<double>(replications);
-  s.delivery /= n;
-  s.hop_stretch /= n;
-  s.mean_hops /= n;
-  s.e2e_latency_s /= n;
-  s.per_hop_latency_s /= n;
-  s.dropped_no_route /= n;
-  s.dropped_mac /= n;
-  return s;
-}
+/// Per routing kind: means over the seed replications.
+using Rows = std::map<std::string, MeanStats>;
 
-void print_table(const std::map<std::string, Series>& rows) {
+void print_table(const Rows& rows) {
   std::cout << "  routing   delivery   stretch   hops   e2e_s   perhop_s   no_route   mac\n";
   for (const auto& [name, s] : rows) {
-    std::cout << "  " << name << "\t" << s.delivery << "\t" << s.hop_stretch << "\t"
-              << s.mean_hops << "\t" << s.e2e_latency_s << "\t" << s.per_hop_latency_s
-              << "\t" << s.dropped_no_route << "\t" << s.dropped_mac << "\n";
+    std::cout << "  " << name << "\t" << s.e2e_delivery_ratio << "\t" << s.hop_stretch << "\t"
+              << s.mean_hops << "\t" << s.mean_e2e_latency_s << "\t"
+              << s.mean_per_hop_latency_s << "\t" << s.e2e_dropped_no_route << "\t"
+              << s.e2e_dropped_mac << "\n";
   }
   std::cout << "\n";
 }
 
-void write_experiment(JsonWriter& json, const std::map<std::string, Series>& rows) {
-  const std::vector<std::pair<std::string, double Series::*>> metrics{
-      {"delivery_ratio", &Series::delivery},
-      {"hop_stretch", &Series::hop_stretch},
-      {"mean_hops", &Series::mean_hops},
-      {"mean_e2e_latency_s", &Series::e2e_latency_s},
-      {"mean_per_hop_latency_s", &Series::per_hop_latency_s},
-      {"dropped_no_route", &Series::dropped_no_route},
-      {"dropped_mac", &Series::dropped_mac},
+void write_experiment(JsonWriter& json, const Rows& rows) {
+  const std::vector<std::pair<std::string, double MeanStats::*>> metrics{
+      {"delivery_ratio", &MeanStats::e2e_delivery_ratio},
+      {"hop_stretch", &MeanStats::hop_stretch},
+      {"mean_hops", &MeanStats::mean_hops},
+      {"mean_e2e_latency_s", &MeanStats::mean_e2e_latency_s},
+      {"mean_per_hop_latency_s", &MeanStats::mean_per_hop_latency_s},
+      {"dropped_no_route", &MeanStats::e2e_dropped_no_route},
+      {"dropped_mac", &MeanStats::e2e_dropped_mac},
   };
   json.key("series").begin_object();
   for (const auto& [metric, member] : metrics) {
@@ -166,22 +125,19 @@ int main() {
   bench::print_header("Multi-hop routing end-to-end",
                       "delivery / stretch / latency per routing kind (not a paper figure)");
 
-  const bool fast = [] {
-    const char* env = std::getenv("AQUAMAC_FAST");
-    return env != nullptr && env[0] == '1';
-  }();
+  const bool fast = bench::fast();
   const unsigned reps = bench::replications(3);
   const std::size_t grid_nodes = fast ? 64 : 200;
   const unsigned corridor_reps = fast ? 2 : std::max(4u, reps);
 
-  std::map<std::string, Series> grid_rows;
-  std::map<std::string, Series> outage_rows;
+  Rows grid_rows;
+  Rows outage_rows;
   try {
     std::cout << "fault-free grid, N=" << grid_nodes << " (replications " << reps << ")\n";
     for (const RoutingKind routing : kRoutings) {
       ScenarioConfig config = grid_scenario(grid_nodes, 11, fast);
       config.routing = routing;
-      grid_rows[std::string{to_string(routing)}] = mean_series(config, reps);
+      grid_rows[std::string{to_string(routing)}] = bench::audited_mean(config, reps);
     }
     print_table(grid_rows);
 
@@ -189,7 +145,8 @@ int main() {
     for (const RoutingKind routing : {RoutingKind::kGreedy, RoutingKind::kDv}) {
       ScenarioConfig config = corridor_scenario(3);
       config.routing = routing;
-      outage_rows[std::string{to_string(routing)}] = mean_series(config, corridor_reps);
+      outage_rows[std::string{to_string(routing)}] =
+          bench::audited_mean(config, corridor_reps);
     }
     print_table(outage_rows);
   } catch (const std::exception& e) {
@@ -198,14 +155,14 @@ int main() {
   }
 
   // The gates the roadmap promises for this bench.
-  const double dv_grid_delivery = grid_rows.at("dv").delivery;
+  const double dv_grid_delivery = grid_rows.at("dv").e2e_delivery_ratio;
   const bool grid_ok = dv_grid_delivery >= 0.95;
   if (!grid_ok) {
     std::cerr << "ERROR: DV delivery " << dv_grid_delivery
               << " below 0.95 on the fault-free grid\n";
   }
-  const double dv_outage = outage_rows.at("dv").delivery;
-  const double greedy_outage = outage_rows.at("greedy").delivery;
+  const double dv_outage = outage_rows.at("dv").e2e_delivery_ratio;
+  const double greedy_outage = outage_rows.at("greedy").e2e_delivery_ratio;
   const bool outage_ok = dv_outage > greedy_outage;
   if (!outage_ok) {
     std::cerr << "ERROR: DV delivery " << dv_outage << " not above greedy "
@@ -214,35 +171,25 @@ int main() {
   std::cout << "gates: grid dv>=0.95 " << (grid_ok ? "ok" : "FAIL")
             << ", outage dv>greedy " << (outage_ok ? "ok" : "FAIL") << "\n";
 
-  if (const char* off = std::getenv("AQUAMAC_NO_BENCH_JSON");
-      off == nullptr || off[0] != '1') {
-    const std::string path = bench::bench_output_dir() + "/BENCH_multihop.json";
-    std::ofstream os{path};
-    if (!os) {
-      std::cerr << "warning: cannot open " << path << " for writing\n";
-    } else {
-      JsonWriter json{os};
-      json.begin_object();
-      json.key("bench").value("multihop");
-      json.key("schema").value("aquamac-bench-multihop-v1");
-      json.key("replications").value(static_cast<double>(reps));
-      json.key("grid").begin_object();
-      json.key("nodes").value(static_cast<double>(grid_nodes));
-      json.key("dv_delivery_gate").value(0.95);
-      json.key("dv_delivery_ok").value(grid_ok ? 1.0 : 0.0);
-      write_experiment(json, grid_rows);
-      json.end_object();
-      json.key("outage").begin_object();
-      json.key("nodes").value(10.0);
-      json.key("replications").value(static_cast<double>(corridor_reps));
-      json.key("dv_beats_greedy").value(outage_ok ? 1.0 : 0.0);
-      write_experiment(json, outage_rows);
-      json.end_object();
-      json.end_object();
-      os << "\n";
-      std::cout << "[bench json] wrote " << path << "\n";
-    }
-  }
+  bench::write_json_file("multihop", [&](JsonWriter& json) {
+    json.begin_object();
+    json.key("bench").value("multihop");
+    json.key("schema").value("aquamac-bench-multihop-v1");
+    json.key("replications").value(static_cast<double>(reps));
+    json.key("grid").begin_object();
+    json.key("nodes").value(static_cast<double>(grid_nodes));
+    json.key("dv_delivery_gate").value(0.95);
+    json.key("dv_delivery_ok").value(grid_ok ? 1.0 : 0.0);
+    write_experiment(json, grid_rows);
+    json.end_object();
+    json.key("outage").begin_object();
+    json.key("nodes").value(10.0);
+    json.key("replications").value(static_cast<double>(corridor_reps));
+    json.key("dv_beats_greedy").value(outage_ok ? 1.0 : 0.0);
+    write_experiment(json, outage_rows);
+    json.end_object();
+    json.end_object();
+  });
 
   return grid_ok && outage_ok ? 0 : 1;
 }

@@ -102,10 +102,7 @@ int main() {
   // --- intra-run shard scaling (conservative PDES) --------------------
   // One large run, same scenario at every K; every sharded digest must
   // equal the K=1 digest (the engine's bit-identity contract).
-  const bool fast = [] {
-    const char* env = std::getenv("AQUAMAC_FAST");
-    return env != nullptr && env[0] == '1';
-  }();
+  const bool fast = bench::fast();
   ScenarioConfig shard_base = grid3d_scenario(fast ? 200 : 2'000, /*seed=*/3);
   shard_base.sim_time = Duration::seconds(fast ? 10 : 30);
   std::cout << "\nintra-run sharding: grid3d N=" << shard_base.node_count << ", "

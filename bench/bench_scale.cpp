@@ -120,9 +120,7 @@ int main() {
   }
 
   std::vector<std::size_t> sizes{50, 200, 1000, 2000, 5'000, 20'000};
-  if (const char* fast = std::getenv("AQUAMAC_FAST"); fast != nullptr && fast[0] == '1') {
-    sizes = {50, 200};
-  }
+  if (bench::fast()) sizes = {50, 200};
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::cout << "mac " << to_string(mac) << ", grid3d, 60 s horizon, mobility on, "
@@ -189,53 +187,43 @@ int main() {
             << largest.sharded_speedup() << "x    all digests identical: "
             << (all_identical ? "yes" : "NO") << "\n";
 
-  if (const char* off = std::getenv("AQUAMAC_NO_BENCH_JSON");
-      off == nullptr || off[0] != '1') {
-    const std::string path = bench::bench_output_dir() + "/BENCH_scale.json";
-    std::ofstream os{path};
-    if (!os) {
-      std::cerr << "warning: cannot open " << path << " for writing\n";
-    } else {
-      JsonWriter json{os};
-      json.begin_object();
-      json.key("bench").value("scale");
-      json.key("schema").value("aquamac-bench-v1");
-      json.key("mac").value(to_string(mac));
-      json.key("cores").value(static_cast<double>(cores));
-      json.key("shards").value(static_cast<double>(kShards));
-      json.key("bit_identical").value(all_identical ? 1.0 : 0.0);
-      json.key("speedup_largest_n").value(index_speedup_largest);
-      json.key("sharded_speedup_largest_n").value(largest.sharded_speedup());
-      json.key("xs").begin_array();
-      for (const Cell& cell : cells) json.value(static_cast<double>(cell.nodes));
+  bench::write_json_file("scale", [&](JsonWriter& json) {
+    json.begin_object();
+    json.key("bench").value("scale");
+    json.key("schema").value("aquamac-bench-v1");
+    json.key("mac").value(to_string(mac));
+    json.key("cores").value(static_cast<double>(cores));
+    json.key("shards").value(static_cast<double>(kShards));
+    json.key("bit_identical").value(all_identical ? 1.0 : 0.0);
+    json.key("speedup_largest_n").value(index_speedup_largest);
+    json.key("sharded_speedup_largest_n").value(largest.sharded_speedup());
+    json.key("xs").begin_array();
+    for (const Cell& cell : cells) json.value(static_cast<double>(cell.nodes));
+    json.end_array();
+    // Series nest metric -> protocol -> values like every other bench,
+    // so scripts/plot_results.py can plot them unchanged. Skipped brute
+    // cells serialize as 0.0 (see brute_run/kBruteMaxNodes above).
+    const std::string mac_name{to_string(mac)};
+    const auto series = [&json, &cells, &mac_name](const std::string& name, auto value) {
+      json.key(name).begin_object();
+      json.key(mac_name).begin_array();
+      for (const Cell& cell : cells) json.value(value(cell));
       json.end_array();
-      // Series nest metric -> protocol -> values like every other bench,
-      // so scripts/plot_results.py can plot them unchanged. Skipped brute
-      // cells serialize as 0.0 (see brute_run/kBruteMaxNodes above).
-      const std::string mac_name{to_string(mac)};
-      const auto series = [&json, &cells, &mac_name](const std::string& name, auto value) {
-        json.key(name).begin_object();
-        json.key(mac_name).begin_array();
-        for (const Cell& cell : cells) json.value(value(cell));
-        json.end_array();
-        json.end_object();
-      };
-      json.key("series").begin_object();
-      series("indexed_wall_s", [](const Cell& c) { return c.indexed_wall_s; });
-      series("brute_wall_s", [](const Cell& c) { return c.brute_wall_s; });
-      series("speedup", [](const Cell& c) { return c.index_speedup(); });
-      series("sharded_wall_s", [](const Cell& c) { return c.sharded_wall_s; });
-      series("sharded_speedup", [](const Cell& c) { return c.sharded_speedup(); });
-      series("channel_phase_s", [](const Cell& c) { return c.channel_phase_s; });
-      series("mac_phase_s", [](const Cell& c) { return c.mac_phase_s; });
-      series("build_s", [](const Cell& c) { return c.build_s; });
-      series("peak_rss_mb", [](const Cell& c) { return c.peak_rss_mb; });
       json.end_object();
-      json.end_object();
-      os << "\n";
-      std::cout << "[bench json] wrote " << path << "\n";
-    }
-  }
+    };
+    json.key("series").begin_object();
+    series("indexed_wall_s", [](const Cell& c) { return c.indexed_wall_s; });
+    series("brute_wall_s", [](const Cell& c) { return c.brute_wall_s; });
+    series("speedup", [](const Cell& c) { return c.index_speedup(); });
+    series("sharded_wall_s", [](const Cell& c) { return c.sharded_wall_s; });
+    series("sharded_speedup", [](const Cell& c) { return c.sharded_speedup(); });
+    series("channel_phase_s", [](const Cell& c) { return c.channel_phase_s; });
+    series("mac_phase_s", [](const Cell& c) { return c.mac_phase_s; });
+    series("build_s", [](const Cell& c) { return c.build_s; });
+    series("peak_rss_mb", [](const Cell& c) { return c.peak_rss_mb; });
+    json.end_object();
+    json.end_object();
+  });
 
   if (!all_identical) {
     std::cerr << "ERROR: an execution mode changed the event stream\n";

@@ -6,15 +6,19 @@
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/runner.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
+#include "stats/invariant_auditor.hpp"
 #include "util/json_writer.hpp"
 #include "util/phase_hook.hpp"
 
@@ -48,12 +52,16 @@ class PhaseProfiler final : public PhaseHook {
   std::array<double, kPhases> totals_{};
 };
 
+/// AQUAMAC_FAST=1 asks for a smoke run: one replication, short axes.
+inline bool fast() {
+  const char* env = std::getenv("AQUAMAC_FAST");
+  return env != nullptr && env[0] == '1';
+}
+
 /// Seed replications per sweep point; override with AQUAMAC_REPLICATIONS
 /// (AQUAMAC_FAST=1 forces 1, for smoke runs).
 inline unsigned replications(unsigned def = 3) {
-  if (const char* fast = std::getenv("AQUAMAC_FAST"); fast != nullptr && fast[0] == '1') {
-    return 1;
-  }
+  if (fast()) return 1;
   if (const char* env = std::getenv("AQUAMAC_REPLICATIONS")) {
     const long v = std::strtol(env, nullptr, 10);
     if (v > 0) return static_cast<unsigned>(v);
@@ -80,14 +88,53 @@ inline std::string bench_output_dir() {
   return ".";
 }
 
-/// Serializes a sweep into `os` as the BENCH JSON schema: timing (total
-/// wall seconds, per-cell summed run seconds, runs/sec, worker count)
-/// plus the selected metric series per protocol.
-inline void write_bench_json(std::ostream& os, const std::string& name,
+/// Mean RunStats over `replications` runs seeded config.seed, +1, ...,
+/// each watched by a hard-fail InvariantAuditor (throws on a violation).
+/// `per_seed`, if set, adjusts each run's config once its seed is set.
+inline MeanStats audited_mean(ScenarioConfig config, unsigned replications,
+                              const std::function<void(ScenarioConfig&)>& per_seed = {}) {
+  std::vector<RunStats> runs;
+  const std::uint64_t base_seed = config.seed;
+  for (unsigned k = 0; k < replications; ++k) {
+    config.seed = base_seed + k;
+    if (per_seed) per_seed(config);
+    InvariantAuditor::Config audit = auditor_config_for(config);
+    audit.hard_fail = true;
+    InvariantAuditor auditor{audit};
+    config.trace = &auditor;
+    runs.push_back(run_scenario(config));
+  }
+  return mean_of(runs);
+}
+
+/// Writes BENCH_<name>.json into bench_output_dir() through `body` and
+/// announces the path on stdout. Set AQUAMAC_NO_BENCH_JSON=1 to suppress
+/// (tests that exercise bench binaries without wanting artifacts).
+inline void write_json_file(const std::string& name,
+                            const std::function<void(JsonWriter&)>& body) {
+  if (const char* off = std::getenv("AQUAMAC_NO_BENCH_JSON");
+      off != nullptr && off[0] == '1') {
+    return;
+  }
+  const std::string path = bench_output_dir() + "/BENCH_" + name + ".json";
+  std::ofstream os{path};
+  if (!os) {
+    std::cerr << "warning: cannot open " << path << " for writing\n";
+    return;
+  }
+  JsonWriter json{os};
+  body(json);
+  os << "\n";
+  std::cout << "[bench json] wrote " << path << "\n";
+}
+
+/// Serializes a sweep as the BENCH JSON schema: timing (total wall
+/// seconds, per-cell summed run seconds, runs/sec, worker count) plus the
+/// selected metric series per protocol.
+inline void write_bench_json(JsonWriter& json, const std::string& name,
                              const SweepResult& sweep,
                              const std::vector<NamedMetric>& metrics,
-                             const std::vector<ExtraField>& extras = {}) {
-  JsonWriter json{os};
+                             const std::vector<ExtraField>& extras) {
   json.begin_object();
   json.key("bench").value(name);
   json.key("schema").value("aquamac-bench-v1");
@@ -131,28 +178,16 @@ inline void write_bench_json(std::ostream& os, const std::string& name,
   json.end_object();
 
   json.end_object();
-  os << "\n";
 }
 
-/// Writes BENCH_<name>.json into bench_output_dir() and announces the
-/// path on stdout. Set AQUAMAC_NO_BENCH_JSON=1 to suppress (tests that
-/// exercise bench binaries without wanting artifacts).
+/// Writes a sweep's BENCH_<name>.json (see write_json_file).
 inline void emit_bench_json(const std::string& name, const SweepResult& sweep,
                             const std::vector<NamedMetric>& metrics,
                             const std::vector<ExtraField>& extras = {}) {
-  if (const char* off = std::getenv("AQUAMAC_NO_BENCH_JSON");
-      off != nullptr && off[0] == '1') {
-    return;
-  }
-  const std::string path = bench_output_dir() + "/BENCH_" + name + ".json";
-  std::ofstream os{path};
-  if (!os) {
-    std::cerr << "warning: cannot open " << path << " for writing\n";
-    return;
-  }
-  write_bench_json(os, name, sweep, metrics, extras);
-  std::cout << "\n[bench json] wrote " << path << " (wall " << sweep.wall_s << " s, jobs "
-            << sweep.jobs_used << ")\n";
+  std::cout << "\nsweep wall " << sweep.wall_s << " s, jobs " << sweep.jobs_used << "\n";
+  write_json_file(name, [&](JsonWriter& json) {
+    write_bench_json(json, name, sweep, metrics, extras);
+  });
 }
 
 }  // namespace aquamac::bench
