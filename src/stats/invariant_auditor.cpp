@@ -29,14 +29,6 @@ std::string_view to_string(InvariantKind kind) {
   return "?";
 }
 
-// lint: trace-dispatch(TraceEventKind)
-// The kinds below carry MAC/fault context the auditor observes but has no
-// obligation for: slot/contention/extra bookkeeping is checked from the
-// kTxStart path, and burst/storm/clock faults only shape the channel.
-// lint: trace-skip(kMacState, kSlotBoundary, kContentionWin, kContentionLoss -- MAC context, no auditor obligation)
-// lint: trace-skip(kExtraNegotiated, kExtraScheduled -- extra-overlap theorem is checked at kTxStart)
-// lint: trace-skip(kFaultClockStep, kFaultBurstBegin, kFaultBurstEnd, kFaultStormBegin, kFaultStormEnd -- channel-shaping faults, no per-node state)
-// lint: trace-skip(kNeighborDead, kNeighborProbe -- probing telemetry, no knowledge change)
 void InvariantAuditor::record(const TraceEvent& event) {
   switch (event.kind) {
     case TraceEventKind::kTxStart: on_tx_start(event); break;
@@ -80,7 +72,25 @@ void InvariantAuditor::record(const TraceEvent& event) {
       // Custody abandoned: this copy is gone; stop tracking the flight.
       flights_.erase(event.seq);
       break;
-    default: break;  // other MAC events carry context, not obligations
+    // The kinds below carry context the auditor observes but has no
+    // obligation for. No `default`: -Wswitch makes a new kind choose here.
+    case TraceEventKind::kMacState:
+    case TraceEventKind::kSlotBoundary:
+    case TraceEventKind::kContentionWin:
+    case TraceEventKind::kContentionLoss:
+      break;  // MAC context, no auditor obligation
+    case TraceEventKind::kExtraNegotiated:
+    case TraceEventKind::kExtraScheduled:
+      break;  // extra-overlap theorem is checked at kTxStart
+    case TraceEventKind::kFaultClockStep:
+    case TraceEventKind::kFaultBurstBegin:
+    case TraceEventKind::kFaultBurstEnd:
+    case TraceEventKind::kFaultStormBegin:
+    case TraceEventKind::kFaultStormEnd:
+      break;  // channel-shaping faults, no per-node state
+    case TraceEventKind::kNeighborDead:
+    case TraceEventKind::kNeighborProbe:
+      break;  // probing telemetry, no knowledge change
   }
 }
 

@@ -7,7 +7,6 @@
 
 namespace aquamac {
 
-// lint: trace-dispatch(TraceEventKind)
 // Plot-facing serialization: every kind must map to a stable mnemonic
 // (plot_results.py and the CSV schema key on these strings).
 std::string_view to_string(TraceEventKind kind) {

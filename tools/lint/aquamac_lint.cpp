@@ -5,8 +5,8 @@
 // this file's documentation parse as live directives.
 //
 // The simulator's headline guarantees — bit-identical serial-vs-parallel
-// traces, digest-verified checkpoint resume, exhaustive trace/stat
-// accounting — are otherwise enforced only dynamically (TSan, digest
+// traces, digest-verified checkpoint resume, complete stat accounting —
+// are otherwise enforced only dynamically (TSan, digest
 // oracles, the InvariantAuditor). This tool moves them left: a
 // dependency-free lexer pass plus two cross-file symbol passes fail the
 // build on constructs that can leak nondeterminism or let state silently
@@ -15,16 +15,14 @@
 // Rule passes (see docs/static-analysis.md for the full semantics):
 //   rules_lexical  wall-clock, unordered-iter, rng-discipline, rng-root,
 //                  raw-ns (PR 5).
-//   rules_state    state-coverage, trace-kind-exhaustive,
-//                  shard-shared-mutable, plus the lint-directive meta
-//                  rule over the `// lint: ...` directive grammar.
+//   rules_state    state-coverage, shard-shared-mutable, plus the
+//                  lint-directive meta rule over the `// lint: ...`
+//                  directive grammar.
 //
-// Suppression / registration grammar:
+// Suppression grammar:
 //   // aquamac-lint: allow(rule[,rule...]) -- reason        (line + next)
 //   // aquamac-lint: allow-file(rule[,rule...]) -- reason   (whole file)
 //   // lint: ckpt-skip(reason)            exempt one member from its state body
-//   // lint: trace-dispatch(Enum)         register an exhaustive dispatch
-//   // lint: trace-skip(kA,kB -- reason)  exempt kinds at a dispatch site
 // `aquamac_lint --list-allows` prints every allow AND directive so the
 // whole exemption surface is auditable in one command.
 //
@@ -152,9 +150,6 @@ int main(int argc, char** argv) {
       for (const std::string& m : c.declared_methods) std::cout << " " << m;
       std::cout << "\n";
     }
-    for (const EnumInfo& e : structure.enums) {
-      std::cout << "enum " << e.name << " (" << e.enumerators.size() << " enumerators)\n";
-    }
     for (const FunctionDef& fn : structure.functions) {
       std::cout << "fn " << fn.display() << " (" << files[fn.file_index].path.string()
                 << ":" << fn.line << ")\n";
@@ -184,8 +179,7 @@ int main(int argc, char** argv) {
                   << d.payload << ")";
         if (!d.reason.empty()) {
           std::cout << " -- " << d.reason;
-        } else if (d.name == "trace-skip" ||
-                   (d.name == "ckpt-skip" && d.payload.empty())) {
+        } else if (d.payload.empty()) {
           std::cout << " [MISSING REASON]";
         }
         std::cout << "\n";

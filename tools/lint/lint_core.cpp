@@ -1,6 +1,6 @@
 // aquamac-lint core: lexer, annotation/directive parsing and the two
 // symbol passes (unordered-container names; structural inventory of
-// classes/members/enums/functions/globals). See lint_core.hpp.
+// classes/members/functions/globals). See lint_core.hpp.
 
 #include "lint_core.hpp"
 
@@ -350,44 +350,11 @@ class StructureParser {
     return nullptr;
   }
 
-  void parse_enum(std::size_t& i, std::size_t end, const std::string& encl) {
-    std::size_t j = i + 1;
-    while (j < end && (text(j) == "class" || text(j) == "struct")) ++j;
-    std::string name;
-    std::size_t name_line = t_[i].line;
-    if (j < end && t_[j].is_ident) {
-      name = text(j);
-      name_line = t_[j].line;
-      ++j;
-    }
-    // Optional underlying type: `: std::uint8_t`.
-    std::size_t open = j;
+  // Enum bodies hold no classes, members or functions: skip them.
+  void skip_enum(std::size_t& i, std::size_t end) {
+    std::size_t open = i + 1;
     while (open < end && text(open) != "{" && text(open) != ";") ++open;
-    if (open >= end || text(open) == ";") {
-      i = open;  // opaque declaration
-      return;
-    }
-    const std::size_t close = match_brace(open, end);
-    EnumInfo info;
-    info.name = encl.empty() ? name : encl + "::" + name;
-    info.line = name_line;
-    info.file_index = file_index_;
-    bool expect_name = true;
-    int depth = 0;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      const std::string& s = text(k);
-      if (s == "(" || s == "{" || s == "[") ++depth;
-      else if (s == ")" || s == "}" || s == "]") --depth;
-      if (depth != 0) continue;
-      if (s == ",") {
-        expect_name = true;
-      } else if (expect_name && t_[k].is_ident) {
-        info.enumerators.push_back(s);
-        expect_name = false;
-      }
-    }
-    if (!info.name.empty()) out_.enums.push_back(std::move(info));
-    i = close;  // caller advances past the `}`; trailing `;` skipped as stray
+    i = open < end && text(open) == "{" ? match_brace(open, end) : open;
   }
 
   void parse_class(std::size_t& i, std::size_t end, const std::string& encl) {
@@ -566,7 +533,6 @@ class StructureParser {
     fn.line = t_[name_tok].line;
     fn.body_begin = body_open + 1;
     fn.body_end = body_close;
-    fn.body_end_line = body_close < end ? t_[body_close].line : t_.empty() ? 0 : t_.back().line;
     fn.file_index = file_index_;
     out_.functions.push_back(std::move(fn));
     i = body_close;
@@ -736,7 +702,7 @@ class StructureParser {
         continue;
       }
       if (s == "enum") {
-        parse_enum(i, end, encl);
+        skip_enum(i, end);
         ++i;
         continue;
       }
@@ -812,26 +778,6 @@ class StructureParser {
 };
 
 }  // namespace
-
-const ClassInfo* Structure::find_class(std::string_view qualified) const {
-  for (const ClassInfo& c : classes) {
-    if (c.name == qualified) return &c;
-  }
-  for (const ClassInfo& c : classes) {
-    if (c.unqualified() == qualified) return &c;
-  }
-  return nullptr;
-}
-
-const EnumInfo* Structure::find_enum(std::string_view name) const {
-  for (const EnumInfo& e : enums) {
-    if (e.name == name) return &e;
-  }
-  for (const EnumInfo& e : enums) {
-    if (e.unqualified() == name) return &e;
-  }
-  return nullptr;
-}
 
 void collect_structure(const SourceFile& file, std::size_t file_index, Structure& out) {
   StructureParser parser{file, file_index, out};

@@ -4,14 +4,13 @@
 // docs/static-analysis.md).
 //
 // PR 5 shipped the tool as one file; the state-coverage rules needed a
-// second, structural symbol pass (per-class member inventories, enum
-// enumerator inventories, function-definition body ranges), so the tool
-// is now a small pipeline:
+// second, structural symbol pass (per-class member inventories and
+// function-definition body ranges), so the tool is now a small pipeline:
 //
 //   lint_core      lexer + allow/directive parsing + symbol passes
 //   rules_lexical  the five PR 5 token-pattern rules
-//   rules_state    the three state-coverage rules (state-coverage,
-//                  trace-kind-exhaustive, shard-shared-mutable)
+//   rules_state    the state-coverage rules (state-coverage,
+//                  shard-shared-mutable)
 //   aquamac_lint   driver (file set, report, --list-allows audit)
 //
 // Everything stays dependency-free C++20: the CI container guarantees
@@ -52,11 +51,10 @@ struct Allow {
 /// `// lint: <name>(payload -- reason)` state-coverage directive. Unlike
 /// an Allow (which silences findings at a site), a directive changes what
 /// a rule *requires*: ckpt-skip exempts one member from a completeness
-/// contract, trace-dispatch / trace-skip register dispatch sites for
-/// cross-checking.
-/// All of them print under --list-allows so the audit stays one command.
+/// contract. All of them print under --list-allows so the audit stays one
+/// command.
 struct Directive {
-  std::string name;     ///< ckpt-skip, trace-dispatch, trace-skip
+  std::string name;     ///< ckpt-skip
   std::string payload;  ///< text inside the parens, before any `--`
   std::string reason;   ///< text after `--` (exemptions must carry one)
   std::size_t line{0};
@@ -100,7 +98,7 @@ struct UnorderedSymbols {
 void collect_unordered_symbols(const SourceFile& file, UnorderedSymbols& syms);
 
 // ---------------------------------------------------------------------
-// Symbol pass 2: structural inventory (classes, enums, functions,
+// Symbol pass 2: structural inventory (classes, functions,
 // namespace-scope variables)
 // ---------------------------------------------------------------------
 
@@ -156,24 +154,10 @@ struct FunctionDef {
   std::size_t line{0};        ///< line of the name token
   std::size_t body_begin{0};  ///< token index just past the opening `{`
   std::size_t body_end{0};    ///< token index of the matching `}`
-  std::size_t body_end_line{0};
   std::size_t file_index{0};
 
   [[nodiscard]] std::string display() const {
     return qualifier.empty() ? name : qualifier + "::" + name;
-  }
-};
-
-struct EnumInfo {
-  std::string name;  ///< qualified like classes ("TraceEventKind")
-  std::size_t line{0};
-  std::size_t file_index{0};
-  std::vector<std::string> enumerators;
-
-  [[nodiscard]] std::string_view unqualified() const {
-    const std::size_t sep = name.rfind("::");
-    return sep == std::string::npos ? std::string_view{name}
-                                    : std::string_view{name}.substr(sep + 2);
   }
 };
 
@@ -196,11 +180,7 @@ struct GlobalVar {
 struct Structure {
   std::vector<ClassInfo> classes;
   std::vector<FunctionDef> functions;
-  std::vector<EnumInfo> enums;
   std::vector<GlobalVar> globals;
-
-  [[nodiscard]] const ClassInfo* find_class(std::string_view qualified) const;
-  [[nodiscard]] const EnumInfo* find_enum(std::string_view name) const;
 };
 
 /// Parses one file's declarations into `out`. `file_index` is the file's
@@ -221,7 +201,7 @@ std::set<std::string> identifiers_in_range(const SourceFile& file, std::size_t b
 void run_lexical_rules(const SourceFile& file, const UnorderedSymbols& syms,
                        std::vector<Finding>& out);
 
-/// The three state-coverage rules (cross-file: needs every scanned file
+/// The state-coverage rules (cross-file: needs every scanned file
 /// plus the merged structural inventory).
 void run_state_rules(const std::vector<SourceFile>& files, const Structure& structure,
                      std::vector<Finding>& out);

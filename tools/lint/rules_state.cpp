@@ -10,20 +10,13 @@
 //                          that one body — following its helpers, nested
 //                          state structs included — or carry
 //                          `// lint: ckpt-skip(reason)`.
-//   trace-kind-exhaustive  every enumerator of an enum registered with
-//                          `// lint: trace-dispatch(Enum)` must appear in
-//                          the dispatch body or be trace-skip'd; losing
-//                          the TraceEventKind registration itself is a
-//                          finding.
 //   shard-shared-mutable   mutable statics/globals that are not atomic,
 //                          const or thread_local are shared across PDES
 //                          shards and banned.
-//   lint-directive         meta-rule: unknown directive names, dangling
-//                          attachments, skip-exemptions without a reason.
+//   lint-directive         meta-rule: unknown directive names and
+//                          skip-exemptions without a reason.
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -37,25 +30,9 @@ namespace {
 
 const std::set<std::string>& known_directives() {
   static const std::set<std::string> kNames = {
-      "ckpt-skip", "trace-dispatch", "trace-skip",
+      "ckpt-skip",
   };
   return kNames;
-}
-
-// Splits a comma-separated payload into trimmed names.
-std::vector<std::string> split_payload(std::string_view payload) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : payload) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
 }
 
 /// True when an out-of-line qualifier names class `cls` ("RelayAgent"
@@ -85,7 +62,6 @@ class StateLinter {
   void run() {
     check_directives();
     rule_state_coverage();
-    rule_trace_kind_exhaustive();
     rule_shard_shared_mutable();
   }
 
@@ -96,25 +72,6 @@ class StateLinter {
     if (suppressed(file, rule, line)) return;
     findings_.push_back(Finding{file.path, line, col == 0 ? 1 : col, rule,
                                 std::move(message)});
-  }
-
-  /// Nearest function definition at or below `line` in `file_index`
-  /// (directives annotate the signature they precede); falls back to the
-  /// function whose body encloses `line`.
-  [[nodiscard]] const FunctionDef* attached_function(std::size_t file_index,
-                                                     std::size_t line) const {
-    const FunctionDef* best = nullptr;
-    for (const FunctionDef& fn : structure_.functions) {
-      if (fn.file_index != file_index) continue;
-      if (fn.line >= line && (best == nullptr || fn.line < best->line)) best = &fn;
-    }
-    if (best != nullptr) return best;
-    for (const FunctionDef& fn : structure_.functions) {
-      if (fn.file_index == file_index && fn.line <= line && line <= fn.body_end_line) {
-        return &fn;
-      }
-    }
-    return nullptr;
   }
 
   /// The skip directive (of `name`) attached to a member declared at
@@ -160,17 +117,15 @@ class StateLinter {
       for (const Directive& d : files_[fi].directives) {
         if (!known_directives().contains(d.name)) {
           add(fi, d.line, 1, "lint-directive",
-              "unknown lint directive '" + d.name +
-                  "' (known: ckpt-skip, trace-dispatch, trace-skip)");
+              "unknown lint directive '" + d.name + "' (known: ckpt-skip)");
           continue;
         }
         // ckpt-skip carries the reason as the payload itself when no `--`
         // is present; either field may satisfy the requirement.
-        const bool is_skip = d.name == "ckpt-skip" || d.name == "trace-skip";
-        if (is_skip && d.reason.empty() && d.payload.empty()) {
+        if (d.reason.empty() && d.payload.empty()) {
           add(fi, d.line, 1, "lint-directive",
               "'" + d.name + "' exemption without a reason: every skip must say why "
-              "the member/kind is safe to leave out");
+              "the member is safe to leave out");
         }
       }
     }
@@ -265,60 +220,6 @@ class StateLinter {
                 "(a forgotten member silently breaks resume bit-identity or drops out of "
                 "merges and reports)");
       }
-    }
-  }
-
-  // ----- trace-kind-exhaustive ----------------------------------------
-  void rule_trace_kind_exhaustive() {
-    bool trace_event_kind_registered = false;
-    for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-      for (const Directive& d : files_[fi].directives) {
-        if (d.name != "trace-dispatch") continue;
-        const FunctionDef* fn = attached_function(fi, d.line);
-        if (fn == nullptr) {
-          add(fi, d.line, 1, "lint-directive",
-              "dangling trace-dispatch directive: no function definition follows it");
-          continue;
-        }
-        const EnumInfo* en = structure_.find_enum(d.payload);
-        if (en == nullptr) {
-          add(fi, d.line, 1, "lint-directive",
-              "trace-dispatch names unknown enum '" + d.payload + "'");
-          continue;
-        }
-        if (en->unqualified() == "TraceEventKind") trace_event_kind_registered = true;
-
-        // trace-skip directives attached to this dispatch site: inside
-        // the body, or in the run-up between the directive and the
-        // signature.
-        std::set<std::string> skipped;
-        for (const Directive& s : files_[fi].directives) {
-          if (s.name != "trace-skip") continue;
-          const bool above = s.line >= d.line && s.line <= fn->line;
-          const bool inside = s.line >= fn->line && s.line <= fn->body_end_line;
-          if (!above && !inside) continue;
-          for (const std::string& kind : split_payload(s.payload)) skipped.insert(kind);
-        }
-        const std::set<std::string> body =
-            identifiers_in_range(files_[fn->file_index], fn->body_begin, fn->body_end);
-        for (const std::string& e : en->enumerators) {
-          if (body.contains(e) || skipped.contains(e)) continue;
-          add(fn->file_index, fn->line, 1, "trace-kind-exhaustive",
-              "dispatch '" + fn->display() + "' does not handle " +
-                  std::string(en->unqualified()) + "::" + e +
-                  "; add a case or annotate `// lint: trace-skip(" + e +
-                  " -- reason)` so new event kinds cannot be silently dropped");
-        }
-      }
-    }
-    // Anti-rot: the trace enum exists but no dispatch site registers it —
-    // the exhaustiveness contract has been lost, which is itself a miss.
-    const EnumInfo* kind = structure_.find_enum("TraceEventKind");
-    if (kind != nullptr && !trace_event_kind_registered) {
-      add(kind->file_index, kind->line, 1, "trace-kind-exhaustive",
-          "enum 'TraceEventKind' has no registered `// lint: trace-dispatch` site; "
-          "annotate the auditor dispatch and the trace serialization so "
-          "exhaustiveness stays machine-checked");
     }
   }
 

@@ -55,14 +55,6 @@ CASES = [
       "member 'depth_' of 'Channel' is not referenced in Channel::visit_state",
       "1 finding(s)"],
      ["clock_", "ticks", "skew", "epoch_", "scratch_", "limit_", "sent", "received"]),
-    # trace-kind-exhaustive
-    ("trace_exhaustive_bad.cpp", 1,
-     ["[trace-kind-exhaustive]", "TraceEventKind::kRxLost",
-      "TraceEventKind::kNeighborDead"], ["kTxStart", "kRxOk"]),
-    ("trace_exhaustive_good.cpp", 0,
-     ["0 finding(s)"], ["[trace-kind-exhaustive]"]),
-    ("trace_unregistered_bad.cpp", 1,
-     ["[trace-kind-exhaustive]", "no registered"], []),
     # shard-shared-mutable
     ("shard_shared_bad.cpp", 1,
      ["[shard-shared-mutable]", "event_budget", "Dispatcher::sequence_",
