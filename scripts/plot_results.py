@@ -21,7 +21,7 @@ Accepts either:
     with --metric (defaults to delivery_ratio).
 
 Usage:
-    tools/aquamac_compare --x load --metric throughput --csv fig6.csv
+    tools/aquamac_compare --x load --metric throughput_kbps --csv fig6.csv
     scripts/plot_results.py fig6.csv --ylabel "Throughput (kbps)" -o fig6.png
     scripts/plot_results.py BENCH_fig6_throughput_load.json --metric throughput_kbps
     scripts/plot_results.py BENCH_fault.json --axis outage_per_hour

@@ -1,12 +1,14 @@
 // aquamac_compare — sweep one parameter across protocols and print (or
 // CSV-dump) any metric: the generic version of the per-figure benches.
 //
-//   aquamac_compare --x load --values 0.2,0.4,0.6,0.8 --metric throughput
-//   aquamac_compare --x nodes --values 60,100,140 --metric power --reps 5
-//   aquamac_compare --metric overhead --normalize --csv out.csv
+//   aquamac_compare --x load --values 0.2,0.4,0.6,0.8 --metric throughput_kbps
+//   aquamac_compare --x nodes --values 60,100,140 --metric mean_power_mw --reps 5
+//   aquamac_compare --metric overhead_bits --normalize --csv out.csv
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "harness/config_io.hpp"
@@ -39,22 +41,19 @@ std::vector<MacKind> parse_protocols(const std::string& csv) {
   return kinds;
 }
 
+/// The MeanStats field under `name`, one of the keys --stats-json writes.
 MetricFn metric_by_name(const std::string& name) {
-  if (name == "throughput") return [](const MeanStats& m) { return m.throughput_kbps; };
-  if (name == "delivery") return [](const MeanStats& m) { return m.delivery_ratio; };
-  if (name == "power") return [](const MeanStats& m) { return m.mean_power_mw; };
-  if (name == "energy") return [](const MeanStats& m) { return m.total_energy_j; };
-  if (name == "overhead") return [](const MeanStats& m) { return m.overhead_bits; };
-  if (name == "efficiency") return [](const MeanStats& m) { return m.efficiency_raw; };
-  if (name == "latency") return [](const MeanStats& m) { return m.mean_latency_s; };
-  if (name == "exectime") return [](const MeanStats& m) { return m.execution_time_s; };
-  if (name == "collisions") return [](const MeanStats& m) { return m.rx_collisions; };
-  if (name == "extras") return [](const MeanStats& m) { return m.extra_successes; };
-  if (name == "fairness") return [](const MeanStats& m) { return m.fairness_index; };
-  if (name == "e2e-delivery") return [](const MeanStats& m) { return m.e2e_delivery_ratio; };
-  if (name == "hops") return [](const MeanStats& m) { return m.mean_hops; };
-  if (name == "e2e-latency") return [](const MeanStats& m) { return m.mean_e2e_latency_s; };
-  throw std::invalid_argument("unknown --metric " + name);
+  MetricFn metric = [name](const MeanStats& m) {
+    double value = std::numeric_limits<double>::quiet_NaN();
+    MeanStats::for_each_field(
+        [&](const char* key, double field) {
+          if (name == key) value = field;
+        },
+        m);
+    return value;
+  };
+  if (std::isnan(metric(MeanStats{}))) throw std::invalid_argument("unknown --metric " + name);
+  return metric;
 }
 
 int run(const CliParser& cli) {
@@ -114,10 +113,7 @@ int main(int argc, char** argv) {
                    {"values", "0.2,0.4,0.6,0.8,1.0", "comma-separated x values"},
                    {"protocols", "paper", "comma-separated protocol names, or 'paper' for "
                                           "S-FAMA,ROPA,CS-MAC,EW-MAC"},
-                   {"metric", "throughput", "throughput, delivery, power, energy, overhead, "
-                                            "efficiency, latency, exectime, collisions, "
-                                            "extras, fairness, e2e-delivery, hops, "
-                                            "e2e-latency"},
+                   {"metric", "throughput_kbps", "any --stats-json key of aquamac_sim"},
                    {"normalize", "false", "divide each cell by the S-FAMA value (Figs. "
                                           "10/11 style)"},
                    {"reps", "3", "seed replications per point"},

@@ -4,12 +4,13 @@
 //   aquamac_sim --mac CS-MAC --reception sinr --trace run.csv
 //   aquamac_sim --help
 //
-// Prints the full metric block; optionally writes a per-event PHY + MAC
-// trace (transmissions, receptions, FSM transitions, contention
-// outcomes, extra-phase windows, neighbor updates) in CSV for external
-// analysis/plotting.
+// Prints every RunStats field, one line each under its --stats-json key;
+// optionally writes a per-event PHY + MAC trace (transmissions,
+// receptions, FSM transitions, contention outcomes, extra-phase windows,
+// neighbor updates) in CSV for external analysis/plotting.
 
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 
 #include "harness/checkpoint_run.hpp"
@@ -83,43 +84,13 @@ int run(const CliParser& cli) {
     stats = run_scenario_checkpointing(config);
   }
 
-  std::cout << "Results\n-------\n"
-            << "throughput        " << stats.throughput_kbps << " kbps\n"
-            << "offered load      " << stats.offered_load_kbps << " kbps\n"
-            << "delivery ratio    " << stats.delivery_ratio << "\n"
-            << "packets           " << stats.packets_delivered << " delivered, "
-            << stats.packets_dropped << " dropped, " << stats.packets_offered << " offered\n"
-            << "mean power        " << stats.mean_power_mw << " mW/node\n"
-            << "total energy      " << stats.total_energy_j << " J\n"
-            << "mean latency      " << stats.mean_latency_s << " s\n"
-            << "execution time    " << stats.execution_time_s << " s\n"
-            << "overhead bits     " << stats.overhead_bits << "\n"
-            << "fairness (Jain)   " << stats.fairness_index << "\n"
-            << "handshakes        " << stats.handshake_successes << "/"
-            << stats.handshake_attempts << "\n"
-            << "extra comms       " << stats.extra_successes << "/" << stats.extra_attempts
-            << "\n"
-            << "collisions        " << stats.rx_collisions << "\n";
-  if (config.multi_hop) {
-    std::cout << "e2e delivery      " << stats.e2e_delivery_ratio << " ("
-              << stats.e2e_arrived_at_sink << "/" << stats.e2e_originated << ")\n"
-              << "mean hops         " << stats.mean_hops << "\n"
-              << "e2e latency       " << stats.mean_e2e_latency_s << " s\n"
-              << "hop stretch       " << stats.hop_stretch << "\n"
-              << "per-hop latency   " << stats.mean_per_hop_latency_s << " s\n"
-              << "routing drops     " << stats.e2e_dropped_no_route << " no-route, "
-              << stats.e2e_dropped_hop_limit << " hop-limit, " << stats.e2e_dropped_mac
-              << " mac\n";
-    if (config.reliability.enabled()) {
-      std::cout << "relay ARQ         " << stats.e2e_retransmissions << " retransmissions, "
-                << stats.e2e_failovers << " failovers, " << stats.e2e_duplicates_suppressed
-                << " dups suppressed\n"
-                << "dead letters      " << stats.e2e_dead_letter_exhausted << " exhausted, "
-                << stats.e2e_dead_letter_overflow << " overflow, "
-                << stats.e2e_dead_letter_no_route << " no-route\n"
-                << "relay queue hw    " << stats.relay_queue_highwater << "\n";
-    }
-  }
+  // One line per RunStats field, in --stats-json key order.
+  std::cout << "Results\n-------\n";
+  RunStats::for_each_field(
+      [](const char* name, const auto& field) {
+        std::cout << std::left << std::setw(27) << name << field << '\n';
+      },
+      stats);
   if (cli.has("stats-json")) {
     std::ofstream json_os{cli.get("stats-json")};
     if (!json_os) {
