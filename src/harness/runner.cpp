@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-
-#include "stats/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aquamac {
 
@@ -36,38 +32,6 @@ RunStats run_scenario(const ScenarioConfig& config) {
   Simulator sim{config.logger};
   Network network{sim, config};
   return network.run();
-}
-
-std::vector<RunStats> run_replicated(const ScenarioConfig& base, unsigned replications) {
-  return run_replicated_parallel(base, replications, base.jobs);
-}
-
-std::vector<RunStats> run_replicated_parallel(const ScenarioConfig& base,
-                                              unsigned replications, unsigned jobs) {
-  const unsigned workers = resolve_jobs(jobs);
-
-  // A shared trace sink is the one piece of state the per-run isolation
-  // does not cover. Instead of forcing the harness serial, each run
-  // records into its own buffer and the buffers are merged after the
-  // join — the same path for every jobs value, so the merged stream is
-  // bit-identical whether the runs executed serially or in parallel.
-  std::vector<std::unique_ptr<MemoryTrace>> buffers;
-  if (base.trace != nullptr) {
-    const TraceSinkFactory factory = memory_trace_factory();
-    buffers.reserve(replications);
-    for (unsigned k = 0; k < replications; ++k) buffers.push_back(factory(k));
-  }
-
-  std::vector<RunStats> runs(replications);
-  parallel_for(workers, replications, [&](std::size_t k) {
-    ScenarioConfig config = base;
-    config.seed = base.seed + static_cast<std::uint64_t>(k);
-    if (!buffers.empty()) config.trace = buffers[k].get();
-    runs[k] = run_scenario(config);
-  });
-
-  if (base.trace != nullptr) merge_traces(buffers, *base.trace);
-  return runs;
 }
 
 MeanStats mean_of(const std::vector<RunStats>& runs) {

@@ -13,16 +13,11 @@ namespace aquamac {
 [[nodiscard]] RunStats run_scenario(const ScenarioConfig& config);
 
 /// Runs `replications` copies differing only in seed (base.seed + k),
-/// fanned across base.jobs worker threads (see ScenarioConfig::jobs).
-/// Results are bit-identical to serial execution for any jobs value.
+/// fanned across base.jobs worker threads (see ScenarioConfig::jobs):
+/// a one-cell run_sweep (harness/sweep.hpp), so results and a shared
+/// trace are bit-identical to serial execution for any jobs value.
 [[nodiscard]] std::vector<RunStats> run_replicated(const ScenarioConfig& base,
                                                    unsigned replications);
-
-/// Same, with the worker count given explicitly (0 = auto). Runs that
-/// carry a shared TraceSink are forced serial so the trace stays ordered.
-[[nodiscard]] std::vector<RunStats> run_replicated_parallel(const ScenarioConfig& base,
-                                                            unsigned replications,
-                                                            unsigned jobs);
 
 /// Figure-level summary of a replicated run: the seed-mean of every
 /// RunStats field (same field list, each mean a double).

@@ -56,9 +56,10 @@ SweepResult run_sweep(const ScenarioConfig& base, std::span<const MacKind> proto
   // sink sees is bit-identical for every jobs value.
   std::vector<std::unique_ptr<MemoryTrace>> buffers;
   if (base.trace != nullptr) {
-    const TraceSinkFactory factory = memory_trace_factory();
     buffers.reserve(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) buffers.push_back(factory(t));
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      buffers.push_back(std::make_unique<MemoryTrace>());
+    }
   }
 
   // Workers write disjoint slots of flat arrays; results are scattered
@@ -99,6 +100,14 @@ SweepResult run_sweep(const ScenarioConfig& base, std::span<const MacKind> proto
 
   result.wall_s = seconds_since(sweep_start);
   return result;
+}
+
+std::vector<RunStats> run_replicated(const ScenarioConfig& base, unsigned replications) {
+  const MacKind mac[] = {base.mac};
+  const double x[] = {0.0};
+  return run_sweep(base, mac, x, [](ScenarioConfig&, double) {}, replications)
+      .raw.at(base.mac)
+      .front();
 }
 
 Table sweep_table(const SweepResult& sweep, const std::string& x_name, const MetricFn& metric,

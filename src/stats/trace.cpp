@@ -112,10 +112,6 @@ void HashTrace::record(const TraceEvent& event) {
   mix(std::bit_cast<std::uint64_t>(event.value));
 }
 
-TraceSinkFactory memory_trace_factory() {
-  return [](std::size_t /*run_index*/) { return std::make_unique<MemoryTrace>(); };
-}
-
 void merge_traces(const std::vector<std::unique_ptr<MemoryTrace>>& runs, TraceSink& out) {
   struct Key {
     Time at;

@@ -10,13 +10,11 @@
 // (scenario, seed) must produce bit-identical traces — and the
 // InvariantAuditor (stats/invariant_auditor.hpp).
 //
-// Parallel harness runs buffer per-run MemoryTraces (one per task, built
-// by a TraceSinkFactory) and merge them after the join with
-// merge_traces(), ordered by (sim time, run index, intra-run order), so
+// Parallel harness runs buffer per-run MemoryTraces (one per task) and
+// merge them after the join with merge_traces(), ordered by (sim time, run index, intra-run order), so
 // the merged stream is bit-identical for every jobs value.
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -186,12 +184,6 @@ class TeeTrace final : public TraceSink {
  private:
   std::vector<TraceSink*> sinks_;
 };
-
-/// Builds the per-run buffer sink for parallel-harness run `run_index`.
-using TraceSinkFactory = std::function<std::unique_ptr<MemoryTrace>(std::size_t run_index)>;
-
-/// The default factory: a plain MemoryTrace per run.
-[[nodiscard]] TraceSinkFactory memory_trace_factory();
 
 /// Replays per-run buffered traces into `out`, ordered by
 /// (sim time, run index, intra-run order). The order is a pure function

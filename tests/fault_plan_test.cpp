@@ -268,8 +268,11 @@ TEST(FaultPlanParallel, ReplicatedStatsIdenticalAcrossJobCounts) {
   base.fault.outage_mean_duration = Duration::seconds(5);
   base.fault.ge_p_bad = 0.05;
 
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 4, 1);
-  const std::vector<RunStats> threaded = run_replicated_parallel(base, 4, 4);
+  base.jobs = 1;
+
+  const std::vector<RunStats> serial = run_replicated(base, 4);
+  base.jobs = 4;
+  const std::vector<RunStats> threaded = run_replicated(base, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     EXPECT_EQ(serial[k].packets_offered, threaded[k].packets_offered);

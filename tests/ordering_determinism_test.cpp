@@ -101,9 +101,11 @@ TEST(OrderingDeterminism, CsMacShippingRunIsDigestStable) {
 }
 
 TEST(OrderingDeterminism, CsMacReplicationsBitIdenticalAcrossJobCounts) {
-  const ScenarioConfig base = csmac_scenario();
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 3, 1);
-  const std::vector<RunStats> parallel = run_replicated_parallel(base, 3, 4);
+  ScenarioConfig base = csmac_scenario();
+  base.jobs = 1;
+  const std::vector<RunStats> serial = run_replicated(base, 3);
+  base.jobs = 4;
+  const std::vector<RunStats> parallel = run_replicated(base, 3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     SCOPED_TRACE("replication " + std::to_string(k));

@@ -138,9 +138,11 @@ TEST(ResolveJobs, ZeroMeansAutoAndNonZeroPassesThrough) {
 }
 
 TEST(ParallelHarness, ReplicatedRunsAreBitIdenticalAcrossJobCounts) {
-  const ScenarioConfig base = tiny_scenario();
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 5, 1);
-  const std::vector<RunStats> parallel = run_replicated_parallel(base, 5, 4);
+  ScenarioConfig base = tiny_scenario();
+  base.jobs = 1;
+  const std::vector<RunStats> serial = run_replicated(base, 5);
+  base.jobs = 4;
+  const std::vector<RunStats> parallel = run_replicated(base, 5);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     SCOPED_TRACE("replication " + std::to_string(k));

@@ -238,8 +238,10 @@ TEST(PdesDeterminism, DvRoutingBitIdenticalAcrossJobs) {
   base.multi_hop = true;
   base.routing = RoutingKind::kDv;
   base.sim_time = Duration::seconds(10);
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 2, 1);
-  const std::vector<RunStats> parallel = run_replicated_parallel(base, 2, 4);
+  base.jobs = 1;
+  const std::vector<RunStats> serial = run_replicated(base, 2);
+  base.jobs = 4;
+  const std::vector<RunStats> parallel = run_replicated(base, 2);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     SCOPED_TRACE("replication " + std::to_string(k));
@@ -296,8 +298,10 @@ TEST(PdesDeterminism, ReplicationsBitIdenticalAcrossJobsTimesShards) {
   base.mac = MacKind::kEwMac;
   base.sim_time = Duration::seconds(8);
   base.shards = 2;  // every replication runs its own sharded engine
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 3, 1);
-  const std::vector<RunStats> parallel = run_replicated_parallel(base, 3, 4);
+  base.jobs = 1;
+  const std::vector<RunStats> serial = run_replicated(base, 3);
+  base.jobs = 4;
+  const std::vector<RunStats> parallel = run_replicated(base, 3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     SCOPED_TRACE("replication " + std::to_string(k));

@@ -92,8 +92,10 @@ TEST(RoutingDifferential, DvRunsDigestIdenticalAcrossJobs) {
   // parallelism may not perturb the routing layer).
   ScenarioConfig base = dv_static_scenario(MacKind::kEwMac, 31);
   base.sim_time = Duration::seconds(60);
-  const std::vector<RunStats> serial = run_replicated_parallel(base, 3, 1);
-  const std::vector<RunStats> parallel = run_replicated_parallel(base, 3, 4);
+  base.jobs = 1;
+  const std::vector<RunStats> serial = run_replicated(base, 3);
+  base.jobs = 4;
+  const std::vector<RunStats> parallel = run_replicated(base, 3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     SCOPED_TRACE("replication " + std::to_string(k));

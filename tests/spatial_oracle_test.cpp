@@ -141,12 +141,13 @@ TEST(SpatialOracle, ParallelReplicationDigestsMatchAcrossIndexSettings) {
   base.channel.use_spatial_index = true;
   HashTrace indexed_hash;
   base.trace = &indexed_hash;
-  (void)run_replicated_parallel(base, 4, 4);
+  base.jobs = 4;
+  (void)run_replicated(base, 4);
 
   base.channel.use_spatial_index = false;
   HashTrace brute_hash;
   base.trace = &brute_hash;
-  (void)run_replicated_parallel(base, 4, 4);
+  (void)run_replicated(base, 4);
 
   EXPECT_NE(indexed_hash.digest(), 0u);
   EXPECT_EQ(indexed_hash.digest(), brute_hash.digest());

@@ -34,9 +34,8 @@ TraceEvent event_at(double t_s, std::uint64_t seq) {
 
 TEST(TraceMerge, OrdersByTimeThenRunThenIntraRunOrder) {
   std::vector<std::unique_ptr<MemoryTrace>> runs;
-  const TraceSinkFactory factory = memory_trace_factory();
-  runs.push_back(factory(0));
-  runs.push_back(factory(1));
+  runs.push_back(std::make_unique<MemoryTrace>());
+  runs.push_back(std::make_unique<MemoryTrace>());
   // Run 0 records two events at t=5 (in order), run 1 an earlier event
   // and another t=5 event. Ties break by run index, then record order.
   runs[0]->record(event_at(5.0, 10));
@@ -69,11 +68,13 @@ TEST(TraceMerge, ReplicatedTraceIsBitIdenticalAcrossJobCounts) {
 
   HashTrace serial_hash;
   base.trace = &serial_hash;
-  (void)run_replicated_parallel(base, 4, 1);
+  base.jobs = 1;
+  (void)run_replicated(base, 4);
 
   HashTrace parallel_hash;
   base.trace = &parallel_hash;
-  (void)run_replicated_parallel(base, 4, 4);
+  base.jobs = 4;
+  (void)run_replicated(base, 4);
 
   EXPECT_NE(serial_hash.digest(), 0u);
   EXPECT_EQ(serial_hash.digest(), parallel_hash.digest());
@@ -109,7 +110,8 @@ TEST(TraceMerge, MergedParallelStreamIsTimeOrderedAndCarriesMacEvents) {
   ScenarioConfig base = tiny_scenario();
   MemoryTrace merged;
   base.trace = &merged;
-  (void)run_replicated_parallel(base, 3, 3);
+  base.jobs = 3;
+  (void)run_replicated(base, 3);
 
   ASSERT_GT(merged.size(), 0u);
   EXPECT_TRUE(merged.is_time_ordered());
