@@ -6,19 +6,16 @@
 
 namespace aquamac {
 
-std::string encode_network_state(const Network& network) {
-  StateWriter writer;
-  save_state(network, writer);
-  return writer.bytes();
-}
-
 Checkpoint make_checkpoint(const Network& network, const ScenarioConfig& config, Time at) {
   Checkpoint ckpt;
   std::ostringstream scenario;
   save_scenario(config, scenario);
   ckpt.scenario_text = scenario.str();
   ckpt.at = at;
-  ckpt.payload = encode_network_state(network);
+  StateWriter writer;
+  save_state(network, writer);
+  ckpt.payload = writer.bytes();
+  ckpt.sections = writer.sections();
   return ckpt;
 }
 

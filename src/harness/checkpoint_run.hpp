@@ -13,14 +13,11 @@
 
 namespace aquamac {
 
-/// Encodes the complete runtime state of `network` as a checkpoint
-/// payload (save_state of the Network into a fresh StateWriter). Callable only
-/// at a boundary between events — run(RunBoundaryHooks) provides those.
-[[nodiscard]] std::string encode_network_state(const Network& network);
-
 /// Builds the checkpoint container for `network` paused at `at`: the
 /// exact scenario text (save_scenario of `config`), the boundary time,
-/// and the state payload.
+/// and the state payload (save_state of the Network) with its section
+/// layout. Callable only at a boundary between events — run(RunBoundaryHooks)
+/// provides those.
 [[nodiscard]] Checkpoint make_checkpoint(const Network& network, const ScenarioConfig& config,
                                          Time at);
 

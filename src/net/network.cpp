@@ -722,7 +722,8 @@ void Network::verify_restore(const std::string& payload) {
   save_state(*this, replayed);
   if (replayed.bytes() != payload) {
     throw CheckpointError("replayed state diverges from checkpoint: " +
-                          describe_payload_difference(payload, replayed.bytes()));
+                          describe_payload_difference(payload, replayed.bytes(),
+                                                      replayed.sections()));
   }
   // The byte match proves equality; the decode + re-encode round trip
   // additionally exercises every loading path, so a field a visit_state
@@ -736,7 +737,8 @@ void Network::verify_restore(const std::string& payload) {
   save_state(*this, round_trip);
   if (round_trip.bytes() != payload) {
     throw CheckpointError("checkpoint decode/re-encode drift: " +
-                          describe_payload_difference(payload, round_trip.bytes()));
+                          describe_payload_difference(payload, round_trip.bytes(),
+                                                      round_trip.sections()));
   }
 }
 

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <bit>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -49,10 +48,19 @@ void StateWriter::write_duration(Duration d) { write_i64(d.count_ns()); }
 
 void StateWriter::section(std::string_view name,
                           const std::function<void(StateWriter&)>& body) {
-  StateWriter inner;
-  body(inner);
+  const std::size_t self = sections_.size();
+  sections_.push_back(SectionSpan{std::string{name}, open_, buf_.size(), 0});
   write_string(name);
-  write_string(inner.buf_);
+  const std::size_t length_at = buf_.size();
+  write_u64(0);  // body length, patched once the body is written
+  const std::size_t parent = std::exchange(open_, self);
+  body(*this);
+  open_ = parent;
+  const std::uint64_t length = buf_.size() - length_at - 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    buf_[length_at + i] = static_cast<char>((length >> (8 * i)) & 0xFF);
+  }
+  sections_[self].end = buf_.size();
 }
 
 // --- StateReader -------------------------------------------------------
@@ -256,63 +264,51 @@ Checkpoint read_checkpoint_file(const std::string& path) {
 
 // --- divergence diagnostics -------------------------------------------
 
-namespace {
-
-struct Section {
-  std::string name;
-  std::string_view body;
-};
-
-/// Top-level section table of a payload; nullopt if it does not parse.
-std::optional<std::vector<Section>> parse_sections(std::string_view payload) {
-  std::vector<Section> out;
-  std::size_t pos = 0;
-  const auto read_len = [&payload, &pos](std::uint64_t& v) {
-    if (payload.size() - pos < 8) return false;
-    v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(payload[pos + i])) << (8 * i);
-    }
-    pos += 8;
-    return true;
-  };
-  while (pos < payload.size()) {
-    std::uint64_t name_len = 0;
-    if (!read_len(name_len) || name_len > payload.size() - pos) return std::nullopt;
-    Section s;
-    s.name = std::string{payload.substr(pos, static_cast<std::size_t>(name_len))};
-    pos += static_cast<std::size_t>(name_len);
-    std::uint64_t body_len = 0;
-    if (!read_len(body_len) || body_len > payload.size() - pos) return std::nullopt;
-    s.body = payload.substr(pos, static_cast<std::size_t>(body_len));
-    pos += static_cast<std::size_t>(body_len);
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string describe_payload_difference(std::string_view expected, std::string_view actual) {
+std::string describe_payload_difference(std::string_view expected, std::string_view actual,
+                                        std::span<const SectionSpan> sections) {
   if (expected == actual) return {};
-  const auto exp = parse_sections(expected);
-  const auto act = parse_sections(actual);
-  if (!exp || !act) return "payloads differ (section table unparseable)";
-  const std::size_t n = std::min(exp->size(), act->size());
-  for (std::size_t k = 0; k < n; ++k) {
-    const Section& e = (*exp)[k];
-    const Section& a = (*act)[k];
-    if (e.name != a.name) {
-      return "section #" + std::to_string(k) + " name differs: '" + e.name + "' vs '" +
-             a.name + "'";
+  const auto first_difference_from = [&](std::size_t from) {
+    const std::string_view e = expected.substr(std::min(from, expected.size()));
+    const std::string_view a = actual.substr(std::min(from, actual.size()));
+    return from + static_cast<std::size_t>(std::ranges::mismatch(e, a).in1 - e.begin());
+  };
+  // A body that grew or shrank differs first in its section's length
+  // prefix; look past the prefix for the byte that moved.
+  std::size_t at = first_difference_from(0);
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const SectionSpan& span : sections) {
+      const std::size_t length_at = span.begin + 8 + span.name.size();
+      if (length_at <= at && at < length_at + 8) {
+        at = first_difference_from(length_at + 8);
+        moved = true;
+      }
     }
-    if (e.body != a.body) return "section '" + e.name + "' differs";
   }
-  if (exp->size() != act->size()) {
-    return "section count differs: " + std::to_string(exp->size()) + " vs " +
-           std::to_string(act->size());
+  // Parents precede their children, so the last span holding `at` is
+  // the innermost one.
+  std::size_t inner = SectionSpan::kNoSection;
+  for (std::size_t k = 0; k < sections.size(); ++k) {
+    if (sections[k].begin <= at && at < sections[k].end) inner = k;
   }
-  return "payloads differ outside any section";
+  const std::string where = " at payload byte " + std::to_string(at);
+  if (inner == SectionSpan::kNoSection) return "payloads differ outside any section" + where;
+
+  std::string path;
+  for (std::size_t k = inner; k != SectionSpan::kNoSection; k = sections[k].parent) {
+    const SectionSpan& span = sections[k];
+    std::size_t ordinal = 0;
+    std::size_t namesakes = 0;
+    for (std::size_t j = 0; j < sections.size(); ++j) {
+      if (sections[j].parent != span.parent || sections[j].name != span.name) continue;
+      if (j < k) ++ordinal;
+      ++namesakes;
+    }
+    const std::string label =
+        namesakes > 1 ? span.name + "#" + std::to_string(ordinal) : span.name;
+    path = path.empty() ? label : label + "/" + path;
+  }
+  return "section '" + path + "' differs" + where;
 }
 
 }  // namespace aquamac

@@ -16,7 +16,7 @@
 // The payload itself is a tree of named sections (name + length-framed
 // body), written by StateWriter and decoded by StateReader. Sections
 // make mismatches diagnosable: describe_payload_difference names the
-// first component whose bytes differ instead of "digest mismatch".
+// innermost section whose bytes differ instead of "digest mismatch".
 //
 // Every stateful type describes its state once, in a
 // `void visit_state(StateArchive&)` member. A StateArchive either writes
@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -65,6 +66,18 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
                                   std::uint64_t seed = kFnvOffsetBasis);
 
 /// Append-only little-endian encoder for checkpoint payloads.
+/// Where StateWriter put one section: its name, the index of its
+/// enclosing section (kNoSection at the top level) and the [begin, end)
+/// byte range of its header and body. Listed in the order sections open,
+/// so a parent precedes its children.
+struct SectionSpan {
+  static constexpr std::size_t kNoSection = static_cast<std::size_t>(-1);
+  std::string name;
+  std::size_t parent{kNoSection};
+  std::size_t begin{0};
+  std::size_t end{0};
+};
+
 class StateWriter {
  public:
   void write_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -81,9 +94,12 @@ class StateWriter {
   void section(std::string_view name, const std::function<void(StateWriter&)>& body);
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
+  [[nodiscard]] const std::vector<SectionSpan>& sections() const { return sections_; }
 
  private:
   std::string buf_;
+  std::vector<SectionSpan> sections_;
+  std::size_t open_{SectionSpan::kNoSection};  ///< innermost open section
 };
 
 /// Bounds-checked decoder over a payload produced by StateWriter. Every
@@ -303,6 +319,10 @@ struct Checkpoint {
   std::string scenario_text;
   Time at{};
   std::string payload;
+  /// The payload's section layout as StateWriter wrote it, for
+  /// describe_payload_difference. The container does not store it, so
+  /// read_checkpoint leaves it empty.
+  std::vector<SectionSpan> sections;
 };
 
 /// Serializes `ckpt` in the aquamac-ckpt-v1 container format.
@@ -314,9 +334,12 @@ void write_checkpoint_file(const Checkpoint& ckpt, const std::string& path);
 [[nodiscard]] Checkpoint read_checkpoint(std::istream& is);
 [[nodiscard]] Checkpoint read_checkpoint_file(const std::string& path);
 
-/// Names the first top-level section whose bytes differ between two
-/// payloads (for actionable divergence errors). Empty if identical.
+/// Names the innermost section of `actual` (path from the top, a repeated
+/// sibling name with its ordinal: "nodes/s-fama#3") that holds the first
+/// byte where the payloads differ; `sections` is the layout StateWriter
+/// reported for `actual`. Empty if identical.
 [[nodiscard]] std::string describe_payload_difference(std::string_view expected,
-                                                      std::string_view actual);
+                                                      std::string_view actual,
+                                                      std::span<const SectionSpan> sections);
 
 }  // namespace aquamac

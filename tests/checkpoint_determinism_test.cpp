@@ -61,6 +61,45 @@ TEST(CheckpointDeterminism, StateCodecRoundTripsEveryPrimitive) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+/// A payload shaped like Network's: per-node MAC sections repeat under
+/// "nodes", each mixing raw fields with a nested section.
+StateWriter node_payload(std::uint32_t node2_slot, std::uint32_t node2_queue_len) {
+  StateWriter w;
+  w.section("engine", [](StateWriter& s) { s.write_u64(9); });
+  w.section("nodes", [&](StateWriter& s) {
+    for (std::uint32_t node = 0; node < 3; ++node) {
+      s.write_u32(node);
+      s.section("s-fama", [&](StateWriter& mac) {
+        mac.write_u32(node == 2 ? node2_slot : 5);
+        mac.section("queue", [&](StateWriter& q) {
+          for (std::uint32_t i = 0; i < (node == 2 ? node2_queue_len : 1); ++i) q.write_u32(i);
+        });
+      });
+    }
+  });
+  return w;
+}
+
+TEST(CheckpointDeterminism, PayloadDifferenceNamesTheInnermostSection) {
+  const StateWriter base = node_payload(5, 1);
+  const StateWriter field = node_payload(6, 1);
+  const StateWriter grown = node_payload(5, 2);
+  EXPECT_EQ(describe_payload_difference(base.bytes(), base.bytes(), base.sections()), "");
+  // Sections open engine, nodes, then s-fama and queue per node: node 2's
+  // s-fama is span 6, and its first field follows the name and length.
+  const SectionSpan& node2 = field.sections()[6];
+  EXPECT_EQ(describe_payload_difference(base.bytes(), field.bytes(), field.sections()),
+            "section 'nodes/s-fama#2' differs at payload byte " +
+                std::to_string(node2.begin + 8 + node2.name.size() + 8));
+  // A nested body that grew changes every enclosing length prefix first.
+  EXPECT_NE(describe_payload_difference(base.bytes(), grown.bytes(), grown.sections())
+                .find("section 'nodes/s-fama#2/queue' differs"),
+            std::string::npos);
+  EXPECT_EQ(describe_payload_difference(base.bytes() + "x", base.bytes(), base.sections()),
+            "payloads differ outside any section at payload byte " +
+                std::to_string(base.bytes().size()));
+}
+
 TEST(CheckpointDeterminism, StateReaderRejectsLayoutSkew) {
   StateWriter w;
   w.section("engine", [](StateWriter& s) {
@@ -258,7 +297,7 @@ TEST(CheckpointDeterminism, CapturedPayloadIsShardInvariant) {
     const auto [fullk, ckptk] = capture(sharded, Time::from_seconds(15));
     EXPECT_EQ(fullk.digest, full1.digest);
     EXPECT_EQ(ckptk.at, ckpt1.at);
-    EXPECT_EQ(describe_payload_difference(ckpt1.payload, ckptk.payload), "");
+    EXPECT_EQ(describe_payload_difference(ckpt1.payload, ckptk.payload, ckptk.sections), "");
   }
 }
 

@@ -78,7 +78,7 @@ Outcome read(const std::string& bytes, const std::string& original_payload, int 
   try {
     std::istringstream is{bytes};
     const Checkpoint ckpt = read_checkpoint(is);
-    (void)describe_payload_difference(original_payload, ckpt.payload);
+    (void)describe_payload_difference(original_payload, ckpt.payload, ckpt.sections);
     return Outcome::kDecoded;
   } catch (const CheckpointError&) {
     return Outcome::kRejected;

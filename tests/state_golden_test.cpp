@@ -218,18 +218,18 @@ void write_file(const std::string& path, const std::string& bytes) {
 
 bool updating() { return std::getenv("AQUAMAC_UPDATE_GOLDEN") != nullptr; }
 
-/// Byte comparison of two containers; on mismatch, names what differs
-/// (scenario text, time, or the first differing payload section).
-void expect_same_container(const std::string& expected, const std::string& actual) {
-  if (expected == actual) return;
+/// Byte comparison of a fixture container with a fresh capture; on
+/// mismatch, names what differs (scenario text, time, or the innermost
+/// payload section holding the first differing byte).
+void expect_same_container(const std::string& expected, const Checkpoint& actual) {
+  const std::string actual_bytes = container_bytes(actual);
+  if (expected == actual_bytes) return;
   std::istringstream exp_is{expected};
-  std::istringstream act_is{actual};
   const Checkpoint exp = read_checkpoint(exp_is);
-  const Checkpoint act = read_checkpoint(act_is);
-  EXPECT_EQ(exp.scenario_text, act.scenario_text);
-  EXPECT_EQ(exp.at, act.at);
+  EXPECT_EQ(exp.scenario_text, actual.scenario_text);
+  EXPECT_EQ(exp.at, actual.at);
   ADD_FAILURE() << "checkpoint container differs: "
-                << describe_payload_difference(exp.payload, act.payload);
+                << describe_payload_difference(exp.payload, actual.payload, actual.sections);
 }
 
 class StateGolden : public ::testing::TestWithParam<GoldenCase> {};
@@ -252,7 +252,7 @@ TEST_P(StateGolden, CheckpointStatsAndSweepMatchFixtures) {
     write_file(golden_path(golden.name, ".sweep.txt"), sweep);
     return;
   }
-  expect_same_container(read_file(golden_path(golden.name, ".ckpt")), ckpt);
+  expect_same_container(read_file(golden_path(golden.name, ".ckpt")), run.checkpoint);
   EXPECT_EQ(read_file(golden_path(golden.name, ".stats.json")), json);
   EXPECT_EQ(read_file(golden_path(golden.name, ".sweep.txt")), sweep);
 }
