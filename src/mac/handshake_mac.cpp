@@ -283,7 +283,8 @@ void HandshakeMac::on_data(const Frame& frame) {
   sim_.at(next_slot_boundary(sim_.now()), [this, ack] {
     if (!modem_.transmitting()) transmit(ack);
   });
-  if (head() != nullptr) schedule_attempt(slots_after_data());
+  // The receiver's own next attempt waits out the Ack's slot.
+  if (head() != nullptr) schedule_attempt(1);
 }
 
 // ---------------------------------------------------------------------

@@ -100,8 +100,6 @@ class HandshakeMac : public SlottedMac {
       const std::vector<Candidate>& candidates) const {
     return candidates.front();
   }
-  /// Slots a receiver waits after delivering DATA before its own attempt.
-  [[nodiscard]] virtual std::int64_t slots_after_data() const { return 1; }
   /// The CTS to `winner` has just been radiated.
   virtual void cts_sent(const Candidate& /*winner*/) {}
   /// The CTS never came and nothing revealed a lost contention.

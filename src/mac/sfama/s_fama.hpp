@@ -22,8 +22,6 @@ class SFama final : public HandshakeMac {
   void overheard(const Frame& frame, const RxInfo& info) override {
     keep_quiet_for(frame, info, config_.tau_max);
   }
-  /// A receiver contends again at the very boundary of its Ack.
-  [[nodiscard]] std::int64_t slots_after_data() const override { return 0; }
 };
 
 }  // namespace aquamac
