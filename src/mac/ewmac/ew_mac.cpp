@@ -28,7 +28,7 @@ void EwMac::handle_reset() {
   extra_.reset();
   grant_.reset();
   schedule_ = ScheduleBook{};
-  reset_handshake();
+  HandshakeMac::handle_reset();
 }
 
 // ---------------------------------------------------------------------

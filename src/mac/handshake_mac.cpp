@@ -36,7 +36,7 @@ void HandshakeMac::set_state(State next) {
   state_ = next;
 }
 
-void HandshakeMac::reset_handshake() {
+void HandshakeMac::handle_reset() {
   sim_.cancel(attempt_event_);
   attempt_event_ = EventHandle{};
   sim_.cancel(timeout_event_);

@@ -78,8 +78,9 @@ class HandshakeMac : public SlottedMac {
   /// the protocol ("ew-mac", "s-fama", ...).
   void visit_handshake(StateArchive& ar, const std::function<void(StateArchive&)>& own);
   /// Outage rejoin: cancels the cycle's timers, forgets collected RTSs
-  /// and the awaited DATA, and restarts from Idle.
-  void reset_handshake();
+  /// and the awaited DATA, and restarts from Idle. A protocol that keeps
+  /// more state clears its own and calls this.
+  void handle_reset() override;
 
   // --- hooks ----------------------------------------------------------------
   /// A frame addressed to another node (after the delay-table refresh).

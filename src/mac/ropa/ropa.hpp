@@ -32,6 +32,10 @@ class Ropa final : public HandshakeMac {
   /// A fresh RTS opens a fresh appender window.
   void decorate_negotiation(Frame& frame) override;
   void backed_off() override { appenders_.clear(); }
+  void handle_reset() override {
+    appenders_.clear();
+    HandshakeMac::handle_reset();
+  }
   /// After our own Ack, grant the recorded appenders before going idle.
   void handshake_completed() override;
   void handle_extra_frame(const Frame& frame, const RxInfo& info) override;
