@@ -11,8 +11,9 @@
 // InvariantAuditor (stats/invariant_auditor.hpp).
 //
 // Parallel harness runs buffer per-run MemoryTraces (one per task) and
-// merge them after the join with merge_traces(), ordered by (sim time, run index, intra-run order), so
-// the merged stream is bit-identical for every jobs value.
+// merge them after the join with merge_traces(), ordered by (sim time,
+// run index, intra-run order), so the merged stream is bit-identical for
+// every jobs value.
 
 #include <cstdint>
 #include <iosfwd>
