@@ -17,6 +17,13 @@ void AckedDataMac::visit_acked(StateArchive& ar,
   });
 }
 
+void AckedDataMac::handle_reset() {
+  sim_.cancel(timeout_event_);
+  timeout_event_ = EventHandle{};
+  awaiting_ack_ = false;
+  if (head() != nullptr) contend(/*retry=*/false);
+}
+
 void AckedDataMac::send_head() {
   const Packet* packet = head();
   transmit_attempt(make_data_for(FrameType::kData, *packet));

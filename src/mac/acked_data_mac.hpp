@@ -36,6 +36,10 @@ class AckedDataMac : public SlottedMac {
   /// Visits the cycle's state, then `own`, in one section named after
   /// the protocol ("s-aloha", "cw-mac").
   void visit_acked(StateArchive& ar, const std::function<void(StateArchive&)>& own);
+  /// Outage rejoin: cancels the Ack deadline, forgets the awaited packet
+  /// and, with a packet queued, contends afresh. A protocol that keeps
+  /// more state clears its own and calls this.
+  void handle_reset() override;
 
   // --- hooks ----------------------------------------------------------------
   /// The cycle is free and a packet is queued: choose a slot to send it

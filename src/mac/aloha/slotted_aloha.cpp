@@ -16,6 +16,12 @@ void SlottedAloha::contend(bool retry) {
   schedule_attempt(retry ? backoff_slots(head()->retries) : 0);
 }
 
+void SlottedAloha::handle_reset() {
+  sim_.cancel(attempt_event_);
+  attempt_event_ = EventHandle{};
+  AckedDataMac::handle_reset();
+}
+
 void SlottedAloha::schedule_attempt(std::int64_t extra_slots) {
   if (!attempt_event_.is_null()) return;  // one pending attempt at a time
   const Time when = next_slot_boundary(sim_.now()) + slot_length() * extra_slots;

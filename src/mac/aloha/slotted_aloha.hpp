@@ -20,6 +20,7 @@ class SlottedAloha final : public AckedDataMac {
  protected:
   void handle_packet_enqueued() override;
   void contend(bool retry) override;
+  void handle_reset() override;
 
  private:
   void schedule_attempt(std::int64_t extra_slots);

@@ -17,6 +17,13 @@ void CwMac::handle_packet_enqueued() {
 
 void CwMac::contend(bool /*retry*/) { arm_countdown(); }
 
+void CwMac::handle_reset() {
+  sim_.cancel(tick_event_);
+  tick_event_ = EventHandle{};
+  counter_ = -1;
+  AckedDataMac::handle_reset();
+}
+
 void CwMac::arm_countdown() {
   const Packet* packet = head();
   if (packet == nullptr) return;

@@ -22,6 +22,7 @@ class CwMac final : public AckedDataMac {
   void handle_packet_enqueued() override;
   void contend(bool retry) override;
   void overheard(const Frame& frame, const RxInfo& info) override;
+  void handle_reset() override;
 
  private:
   void arm_countdown();

@@ -25,6 +25,16 @@ void MacaU::handle_packet_enqueued() {
   }
 }
 
+void MacaU::handle_reset() {
+  sim_.cancel(attempt_event_);
+  attempt_event_ = EventHandle{};
+  sim_.cancel(timeout_event_);
+  timeout_event_ = EventHandle{};
+  expected_data_from_ = kNoNode;
+  set_state(State::kIdle);
+  if (head() != nullptr) schedule_attempt(config_.guard);
+}
+
 void MacaU::schedule_attempt(Duration delay) {
   if (!attempt_event_.is_null()) return;
   attempt_event_ = sim_.in(delay, [this] {

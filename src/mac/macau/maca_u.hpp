@@ -27,6 +27,9 @@ class MacaU final : public SlottedMac {
  protected:
   void handle_frame(const Frame& frame, const RxInfo& info) override;
   void handle_packet_enqueued() override;
+  /// Outage rejoin: cancels both timers, forgets the awaited DATA and
+  /// restarts from Idle, contending again if a packet is queued.
+  void handle_reset() override;
 
  private:
   enum class State { kIdle, kWaitCts, kWaitData, kWaitAck };

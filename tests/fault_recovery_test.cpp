@@ -128,6 +128,60 @@ TEST(FaultRecovery, ResetMacStateForgetsEverything) {
   EXPECT_TRUE(bed.mac(a).neighbor_table().knows(b));
 }
 
+/// Node 0 sends one DATA to node 1 (600 m, 0.4 s away) and goes down
+/// `outage_after` after radiating it, for `outage`: long enough to miss
+/// the Ack, short enough to rejoin (reset_mac_state, as Network does)
+/// before the Ack deadline armed before the outage. Returns node 0's
+/// counters once the packet had time to complete.
+MacCounters sender_after_outage_in_ack_wait(MacKind kind, Duration outage) {
+  TestBed bed;
+  const NodeId a = bed.add_node(kind, Vec3{0, 0, 0});
+  const NodeId b = bed.add_node(kind, Vec3{600, 0, 0});
+  bed.hello_and_settle();
+  bed.mac(a).enqueue_packet(b, 512);
+  const std::size_t data = frame_type_index(FrameType::kData);
+  while (bed.counters(a).frames_sent[data] == 0) {
+    EXPECT_LT(bed.sim().now(), Time::from_seconds(60.0)) << "DATA never sent";
+    if (bed.sim().now() >= Time::from_seconds(60.0)) return bed.counters(a);
+    bed.sim().run_until(bed.sim().now() + Duration::milliseconds(10));
+  }
+  bed.sim().run_until(bed.sim().now() + Duration::milliseconds(100));
+  bed.node(a).modem().set_operational(false);
+  bed.sim().run_until(bed.sim().now() + outage);
+  bed.node(a).modem().set_operational(true);
+  bed.mac(a).reset_mac_state();
+  bed.sim().run_until(bed.sim().now() + Duration::seconds(60));
+  return bed.counters(a);
+}
+
+// The outage killed the exchange, so the rejoined node starts it afresh:
+// the Ack timeout armed before the outage must not fire afterwards and
+// charge a retry (the packet goes out again as a first attempt).
+TEST(FaultRecovery, SAlohaOutageDuringAckWaitChargesNoRetry) {
+  // The Ack leaves at the receiver's next boundary (<= 1.9 s after the
+  // DATA); the deadline is >= 3 slots after it.
+  const MacCounters c =
+      sender_after_outage_in_ack_wait(MacKind::kSlottedAloha, Duration::milliseconds(2'400));
+  EXPECT_EQ(c.retransmitted_frames, 0u);
+  EXPECT_EQ(c.packets_sent_ok, 1u);
+}
+
+TEST(FaultRecovery, CwMacOutageDuringAckWaitChargesNoRetry) {
+  const MacCounters c =
+      sender_after_outage_in_ack_wait(MacKind::kCwMac, Duration::milliseconds(2'400));
+  EXPECT_EQ(c.retransmitted_frames, 0u);
+  EXPECT_EQ(c.packets_sent_ok, 1u);
+}
+
+TEST(FaultRecovery, MacaUOutageDuringAckWaitChargesNoRetry) {
+  // The Ack is sent on reception (back ~0.85 s after the DATA); the
+  // deadline is ~2.05 s after it.
+  const MacCounters c =
+      sender_after_outage_in_ack_wait(MacKind::kMacaU, Duration::milliseconds(1'300));
+  EXPECT_EQ(c.retransmitted_frames, 0u);
+  EXPECT_EQ(c.packets_sent_ok, 1u);
+}
+
 TEST(FaultRecovery, RejoinRelearnsBeforeExtraNegotiation) {
   // A node returning from an outage has forgotten every measured delay;
   // it must not schedule extra traffic (Eq. 6 needs delays) until at
