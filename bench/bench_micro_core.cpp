@@ -89,27 +89,6 @@ void BM_FullStackSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_FullStackSimulation)->Unit(benchmark::kMillisecond);
 
-// A/B for the pairwise propagation cache on a static deployment: range(0)
-// toggles ChannelConfig::cache_paths. Results are bit-identical either
-// way; only the per-run wall time should differ.
-void BM_FullStackPathCache(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  for (auto _ : state) {
-    ScenarioConfig config = small_test_scenario();
-    config.mac = MacKind::kEwMac;
-    config.channel.cache_paths = cached;
-    benchmark::DoNotOptimize(run_scenario(config));
-  }
-  state.counters["sim_s_per_s"] =
-      benchmark::Counter(65.0 * static_cast<double>(state.iterations()),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FullStackPathCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("cache")
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -4,12 +4,8 @@
 // Scaling ledger: runs the density-preserving grid3d scale scenario at
 // N in {50, 200, 1000, 2000, 5000, 20000} and records, per N:
 //
-//   - spatial receiver index on vs off (brute force), with a HashTrace
-//     digest oracle asserting the index never changes the event stream
-//     (the brute run is skipped at N >= 5000, where it is pure O(N^2)
-//     overhead — the skip is reported, not silent);
-//   - serial vs sharded conservative-PDES execution (--shards 8), with
-//     the same digest oracle asserting bit-identity, plus the wall-clock
+//   - serial vs sharded conservative-PDES execution (--shards 8), with a
+//     HashTrace digest oracle asserting bit-identity, plus the wall-clock
 //     speedup (`sharded_speedup`). The JSON carries a `cores` field:
 //     on a single-core host the speedup is purely algorithmic (K-times
 //     smaller heaps), not parallel, and should be read against it;
@@ -19,7 +15,7 @@
 //     process's peak RSS after N's runs (`peak_rss_mb`; a high-water mark,
 //     so with N ascending it is the largest network's footprint so far).
 //
-// Track speedup_largest_n / sharded_speedup_largest_n across commits.
+// Track sharded_speedup_largest_n across commits.
 //
 //   AQUAMAC_FAST=1 ./bench_scale      # N <= 200 only (smoke)
 //   AQUAMAC_SCALE_MAC=sfama ./bench_scale
@@ -44,30 +40,20 @@ namespace {
 using namespace aquamac;
 
 constexpr unsigned kShards = 8;
-constexpr std::size_t kBruteMaxNodes = 2'000;  ///< brute force skipped above
 
 struct Cell {
   std::size_t nodes{0};
   double indexed_wall_s{0.0};
-  double brute_wall_s{0.0};
   double sharded_wall_s{0.0};
   std::uint64_t indexed_digest{0};
-  std::uint64_t brute_digest{0};
   std::uint64_t sharded_digest{0};
   double channel_phase_s{0.0};
   double mac_phase_s{0.0};
   double build_s{0.0};
   double peak_rss_mb{0.0};
-  bool brute_run{false};
 
-  [[nodiscard]] double index_speedup() const {
-    return brute_run && indexed_wall_s > 0.0 ? brute_wall_s / indexed_wall_s : 0.0;
-  }
   [[nodiscard]] double sharded_speedup() const {
     return sharded_wall_s > 0.0 ? indexed_wall_s / sharded_wall_s : 0.0;
-  }
-  [[nodiscard]] bool index_identical() const {
-    return !brute_run || indexed_digest == brute_digest;
   }
   [[nodiscard]] bool sharded_identical() const { return sharded_digest == indexed_digest; }
 };
@@ -110,7 +96,7 @@ RunResult timed_run(ScenarioConfig config, unsigned shards, bench::PhaseProfiler
 
 int main() {
   using namespace aquamac;
-  bench::print_header("Scaling ledger: spatial index + sharded PDES",
+  bench::print_header("Scaling ledger: serial vs sharded PDES",
                       "channel lookup and event-loop scaling (not a paper figure)");
 
   MacKind mac = MacKind::kEwMac;
@@ -125,15 +111,14 @@ int main() {
   const unsigned cores = std::thread::hardware_concurrency();
   std::cout << "mac " << to_string(mac) << ", grid3d, 60 s horizon, mobility on, "
             << cores << " core(s)\n";
-  std::cout << "     N     serial s  shards" << kShards << " s   shard-x   index-off s   index-x"
-            << "   chan s    mac s   build s   rss MB   identical\n";
+  std::cout << "     N     serial s  shards" << kShards
+            << " s   shard-x   chan s    mac s   build s   rss MB   identical\n";
 
   std::vector<Cell> cells;
   bool all_identical = true;
   for (const std::size_t n : sizes) {
     ScenarioConfig config = grid3d_scenario(n, /*seed=*/7);
     config.mac = mac;
-    config.channel.use_spatial_index = true;
 
     Cell cell;
     cell.nodes = n;
@@ -150,40 +135,19 @@ int main() {
     cell.sharded_wall_s = sharded.wall_s;
     cell.sharded_digest = sharded.digest;
 
-    cell.brute_run = n <= kBruteMaxNodes;
-    if (cell.brute_run) {
-      ScenarioConfig brute = config;
-      brute.channel.use_spatial_index = false;
-      const RunResult result = timed_run(brute, /*shards=*/1, nullptr);
-      cell.brute_wall_s = result.wall_s;
-      cell.brute_digest = result.digest;
-    }
-
     cell.peak_rss_mb = peak_rss_mb();
 
-    const bool identical = cell.index_identical() && cell.sharded_identical();
+    const bool identical = cell.sharded_identical();
     all_identical = all_identical && identical;
     std::cout.width(6);
     std::cout << n << "   " << cell.indexed_wall_s << "   " << cell.sharded_wall_s << "   "
-              << cell.sharded_speedup() << "x   ";
-    if (cell.brute_run) {
-      std::cout << cell.brute_wall_s << "   " << cell.index_speedup() << "x   ";
-    } else {
-      std::cout << "(skipped: O(N^2) above N=" << kBruteMaxNodes << ")   ";
-    }
-    std::cout << cell.channel_phase_s << "   " << cell.mac_phase_s << "   " << cell.build_s
+              << cell.sharded_speedup() << "x   " << cell.channel_phase_s << "   " << cell.mac_phase_s << "   " << cell.build_s
               << "   " << cell.peak_rss_mb << "   " << (identical ? "yes" : "NO") << "\n";
     cells.push_back(cell);
   }
 
   const Cell& largest = cells.back();
-  // Index speedup is reported at the largest N whose brute run existed.
-  double index_speedup_largest = 0.0;
-  for (const Cell& cell : cells) {
-    if (cell.brute_run) index_speedup_largest = cell.index_speedup();
-  }
-  std::cout << "\nindex speedup at largest brute N: " << index_speedup_largest
-            << "x    sharded speedup at N=" << largest.nodes << ": "
+  std::cout << "\nsharded speedup at N=" << largest.nodes << ": "
             << largest.sharded_speedup() << "x    all digests identical: "
             << (all_identical ? "yes" : "NO") << "\n";
 
@@ -195,14 +159,12 @@ int main() {
     json.key("cores").value(static_cast<double>(cores));
     json.key("shards").value(static_cast<double>(kShards));
     json.key("bit_identical").value(all_identical ? 1.0 : 0.0);
-    json.key("speedup_largest_n").value(index_speedup_largest);
     json.key("sharded_speedup_largest_n").value(largest.sharded_speedup());
     json.key("xs").begin_array();
     for (const Cell& cell : cells) json.value(static_cast<double>(cell.nodes));
     json.end_array();
     // Series nest metric -> protocol -> values like every other bench,
-    // so scripts/plot_results.py can plot them unchanged. Skipped brute
-    // cells serialize as 0.0 (see brute_run/kBruteMaxNodes above).
+    // so scripts/plot_results.py can plot them unchanged.
     const std::string mac_name{to_string(mac)};
     const auto series = [&json, &cells, &mac_name](const std::string& name, auto value) {
       json.key(name).begin_object();
@@ -213,8 +175,6 @@ int main() {
     };
     json.key("series").begin_object();
     series("indexed_wall_s", [](const Cell& c) { return c.indexed_wall_s; });
-    series("brute_wall_s", [](const Cell& c) { return c.brute_wall_s; });
-    series("speedup", [](const Cell& c) { return c.index_speedup(); });
     series("sharded_wall_s", [](const Cell& c) { return c.sharded_wall_s; });
     series("sharded_speedup", [](const Cell& c) { return c.sharded_speedup(); });
     series("channel_phase_s", [](const Cell& c) { return c.channel_phase_s; });

@@ -53,10 +53,11 @@ AcousticChannel::AcousticChannel(Simulator& sim, const PropagationModel& propaga
 }
 
 void AcousticChannel::reserve(std::size_t modem_count) {
-  if (!modems_.empty()) throw std::logic_error("reserve() must precede the first attach()");
-  modems_.reserve(modem_count);
+  if (!attached_ids_.empty()) {
+    throw std::logic_error("reserve() must precede the first attach()");
+  }
   attached_ids_.reserve(modem_count);
-  if (config_.cache_paths) path_cache_.size_for(modem_count);
+  path_cache_.size_for(modem_count);
 }
 
 void AcousticChannel::attach(AcousticModem& modem) {
@@ -64,13 +65,12 @@ void AcousticChannel::attach(AcousticModem& modem) {
   if (!attached_ids_.insert(modem.id()).second) {
     throw std::logic_error("modem attached twice / duplicate id");
   }
-  modems_.push_back(&modem);
   modem.set_channel(this);
-  if (config_.use_spatial_index) spatial_index_.insert(modem);
+  spatial_index_.insert(modem);
 }
 
 void AcousticChannel::on_position_changed(const AcousticModem& modem) {
-  if (config_.use_spatial_index) spatial_index_.refresh(modem);
+  spatial_index_.refresh(modem);
 }
 
 void AcousticChannel::start_transmission(const AcousticModem& sender, const Frame& frame,
@@ -91,27 +91,19 @@ void AcousticChannel::start_transmission(const AcousticModem& sender, const Fram
   const auto shared_frame = std::make_shared<const Frame>(frame);
 
   // Candidate set: the 27-cell neighbourhood is a superset of every modem
-  // within the interference cutoff, in attach order — the same modems the
-  // brute-force scan would accept, visited in the same relative order.
-  // Each execution context owns its workspace (prepare_parallel sizes the
-  // table before sharded runs start).
-  const std::vector<AcousticModem*>* receivers = &modems_;
-  if (config_.use_spatial_index) {
-    const std::size_t ctx = sim_.context_index();
-    assert(ctx < workspaces_.size() && "call prepare_parallel() after enable_sharding");
-    Workspace& ws = workspaces_[ctx];
-    spatial_index_.candidates(sender.position(), ws.candidates, ws.scratch);
-    receivers = &ws.candidates;
-  }
+  // within the interference cutoff, in attach order, so the reach
+  // predicate below keeps exactly the modems a scan of every attached
+  // modem would keep, in the same order. Each execution context owns its
+  // workspace (prepare_parallel sizes the table before sharded runs start).
+  const std::size_t ctx = sim_.context_index();
+  assert(ctx < workspaces_.size() && "call prepare_parallel() after enable_sharding");
+  Workspace& ws = workspaces_[ctx];
+  spatial_index_.candidates(sender.position(), ws.candidates, ws.scratch);
 
-  for (AcousticModem* receiver : *receivers) {
+  for (AcousticModem* receiver : ws.candidates) {
     if (receiver == &sender) continue;
 
-    const PropagationModel::Path path =
-        config_.cache_paths
-            ? path_cache_.direct(sender, *receiver)
-            : propagation_.compute(sender.position(), receiver->position(),
-                                   config_.freq_khz);
+    const PropagationModel::Path path = path_cache_.direct(sender, *receiver);
     const double rx_level = config_.source_level_db - path.loss_db;
 
     bool reaches = false;
@@ -149,11 +141,7 @@ void AcousticChannel::start_transmission(const AcousticModem& sender, const Fram
     // replica that interferes but is never decodable.
     if (config_.enable_surface_echo && config_.mode == DeliveryMode::kLevelBased) {
       const PropagationModel::Path echo =
-          config_.cache_paths
-              ? path_cache_.surface_echo(sender, *receiver,
-                                         config_.surface_reflection_loss_db)
-              : surface_echo_path(propagation_, sender.position(), receiver->position(),
-                                  config_.freq_khz, config_.surface_reflection_loss_db);
+          path_cache_.surface_echo(sender, *receiver, config_.surface_reflection_loss_db);
       const double echo_level = config_.source_level_db - echo.loss_db;
       if (echo_level >= effective_floor_db_ && echo.delay > path.delay) {
         const TimeInterval echo_window{now + echo.delay, now + echo.delay + airtime};

@@ -60,26 +60,11 @@ struct ChannelConfig {
   bool enable_surface_echo{false};
   double surface_reflection_loss_db{6.0};
 
-  /// Memoize per-pair propagation paths (see PropagationCache). Cached
-  /// entries are invalidated by position epochs, so results are
-  /// bit-identical with the cache on or off; the knob exists for A/B
-  /// benchmarking and tests.
-  bool cache_paths{true};
-
   /// Spreading law of the propagation model driving this channel. Network
   /// threads it into the model it builds; the kLevelBased cutoff-radius
   /// derivation inverts the same law, so the two must agree when a channel
   /// and model are wired by hand.
   Spreading spreading{Spreading::kPractical};
-
-  /// Per-transmission receiver lookup through SpatialReceiverIndex (cell
-  /// size = the interference cutoff radius) instead of scanning every
-  /// attached modem. The candidate set is a conservative superset filtered
-  /// by the exact reach predicate in attach order, so deliveries, traces
-  /// and audits are bit-identical with the index on or off; the knob
-  /// exists for A/B benchmarking (bench_scale) and the differential
-  /// oracle tests.
-  bool use_spatial_index{true};
 };
 
 /// Ground-truth record of one transmission, for tests and invariants
@@ -115,7 +100,7 @@ class AcousticChannel {
   /// Throws std::logic_error for a modem attached twice or a taken id.
   void attach(AcousticModem& modem);
 
-  [[nodiscard]] std::size_t modem_count() const { return modems_.size(); }
+  [[nodiscard]] std::size_t modem_count() const { return attached_ids_.size(); }
 
   /// Invoked by AcousticModem::transmit. Positions are sampled now.
   void start_transmission(const AcousticModem& sender, const Frame& frame, Duration airtime);
@@ -162,7 +147,7 @@ class AcousticChannel {
   [[nodiscard]] std::size_t path_cache_entries() const { return path_cache_.table_entries(); }
 
   /// Radius beyond which no attached modem can register even as
-  /// interference; sizes the spatial-index cells. kRangeBased: the
+  /// interference; sizes the spatial index's cells. kRangeBased: the
   /// configured interference range. kLevelBased: inverse link budget at
   /// the effective interference floor.
   [[nodiscard]] double interference_cutoff_m() const { return interference_cutoff_m_; }
@@ -189,7 +174,6 @@ class AcousticChannel {
   double noise_level_db_;
   double effective_floor_db_;
   double interference_cutoff_m_;
-  std::vector<AcousticModem*> modems_;
   std::unordered_set<NodeId> attached_ids_;
   SpatialReceiverIndex spatial_index_;
   std::vector<Workspace> workspaces_;

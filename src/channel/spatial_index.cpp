@@ -60,8 +60,8 @@ void SpatialReceiverIndex::candidates(const Vec3& center,
   for_each_bucket_around(cells_, key_for(center, cell_size_m_), [&](const auto& bucket) {
     scratch.insert(scratch.end(), bucket.begin(), bucket.end());
   });
-  // Ordinal order == attach order: the channel's brute-force visitation
-  // order, which the determinism contract requires.
+  // Ordinal order == attach order: the order of a scan over every
+  // attached modem, which the determinism contract requires.
   std::sort(scratch.begin(), scratch.end());
   out.reserve(scratch.size());
   for (const std::size_t ordinal : scratch) out.push_back(records_[ordinal].modem);

@@ -11,10 +11,10 @@
 // the channel still applies its exact reach predicate to each candidate).
 //
 // Determinism contract: candidates() returns modems sorted by attach
-// ordinal, i.e. the same relative order in which the channel's brute
-// force scan visits them, so filtering the candidates with the identical
-// predicate schedules the identical arrivals in the identical order —
-// the event stream is bit-identical with the index on or off.
+// ordinal, i.e. the order of a scan over every attached modem, so
+// filtering the candidates with the channel's reach predicate schedules
+// the arrivals that scan would, in the same order. The brute-force reach
+// oracle in tests/reach_oracle.hpp checks this on every transmission.
 //
 // Mobility coherence rides on the same position-epoch mechanism the
 // PropagationCache uses: each record stores the epoch it was binned at,

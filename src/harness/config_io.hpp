@@ -146,7 +146,6 @@ void for_each_scenario_option(Fn&& fn, Config&... c) {
   fn(O{"reliability-drop-policy", kRelay}, c.reliability.drop_policy...);
   fn(O{"reliability-backoff-base-s", kRelay}, c.reliability.backoff_base...);
   fn(O{"reliability-backoff-max-s", kRelay}, c.reliability.backoff_max...);
-  fn(O{"reliability-failover", kRelay}, c.reliability.failover...);
 
   fn(O{"node-failure-fraction", kFailure, kSim, "fraction of nodes that die 60 s into traffic",
        "kill-fraction"},
@@ -154,8 +153,6 @@ void for_each_scenario_option(Fn&& fn, Config&... c) {
   fn(O{"node-failure-time-s", kFailure}, c.node_failure_time...);
   fn(O{"surface-echo", kFailure}, c.channel.enable_surface_echo...);
   fn(O{"reflection-loss-db", kFailure}, c.channel.surface_reflection_loss_db...);
-  fn(O{"cache-paths", kFailure}, c.channel.cache_paths...);
-  fn(O{"spatial-index", kFailure}, c.channel.use_spatial_index...);
 
   fn(O{"fault-drift-ppm", kFault}, c.fault.drift_ppm_stddev...);
   fn(O{"fault-drift-jitter-s", kFault}, c.fault.drift_jitter_stddev_s...);
@@ -177,7 +174,6 @@ void for_each_scenario_option(Fn&& fn, Config&... c) {
   fn(O{"dead-neighbor-threshold", kHardening}, c.mac_config.dead_neighbor_threshold...);
   fn(O{"dead-probe-interval-s", kHardening}, c.mac_config.dead_probe_interval...);
   fn(O{"guard-slack-s", kHardening}, c.mac_config.guard_slack...);
-  fn(O{"neighbor-ewma", kHardening}, c.mac_config.neighbor_ewma...);
 
   fn(O{"checkpoint-every-s", kCheckpoint, kSim,
        "snapshot the run to --checkpoint-out every N sim seconds (0 = off)"},

@@ -221,7 +221,7 @@ void MacProtocol::on_frame_received(const Frame& frame, const RxInfo& raw_info) 
 
   // §4.3: every packet carries its sending timestamp; refresh the one-hop
   // delay for the sender regardless of destination.
-  neighbors_.update(frame.src, info.measured_delay, sim_.now(), config_.neighbor_ewma);
+  neighbors_.update(frame.src, info.measured_delay, sim_.now());
   // Proof of life: any decodable frame from a node clears its silence
   // count and any standing death sentence.
   if (config_.dead_neighbor_threshold > 0) {
@@ -238,11 +238,9 @@ void MacProtocol::on_frame_received(const Frame& frame, const RxInfo& raw_info) 
     event.a = info.measured_delay.count_ns();
     trace_mac(event);
   }
-  // Route-ad ingestion rides on the same reception the delay table uses,
-  // and sees the *smoothed* table entry so DV costs inherit the EWMA.
-  if (observe_hook_) {
-    observe_hook_(frame, neighbors_.delay_to(frame.src).value_or(info.measured_delay));
-  }
+  // Route-ad ingestion rides on the same reception and delay the table
+  // just stored.
+  if (observe_hook_) observe_hook_(frame, info.measured_delay);
   // Frames shipping neighbor info (CS-MAC negotiation packets) feed the
   // two-hop table of everyone who hears them.
   if (frame.neighbor_info) {

@@ -78,12 +78,6 @@ struct MacConfig {
   /// its extra-packet windows by this much so drift below the slack can
   /// never violate the overlap theorem. Zero = paper behavior.
   Duration guard_slack{};
-  /// EWMA smoothing factor for one-hop delay measurements: each new
-  /// sample moves the stored delay by `alpha * (sample - stored)`. 1.0
-  /// (the default) overwrites with the raw sample — legacy behavior —
-  /// while smaller values damp single noisy samples under mobility
-  /// before DV costs or the relay backoff trust them (ROADMAP 2b).
-  double neighbor_ewma{1.0};
 };
 
 /// End-to-end header carried across hops in multi-hop mode (§3.1/Fig. 1).

@@ -1,26 +1,13 @@
 #include "net/neighbor_table.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/checkpoint.hpp"
 
 namespace aquamac {
 
-void NeighborTable::update(NodeId neighbor, Duration delay, Time now, double alpha) {
-  const auto it = one_hop_.find(neighbor);
-  if (it == one_hop_.end() || alpha >= 1.0) {
-    one_hop_[neighbor] = Entry{delay, now};
-    return;
-  }
-  // EWMA in exact integer nanoseconds: stored += round(alpha * (sample -
-  // stored)). One llround per sample keeps the result independent of how
-  // a compiler associates floating-point sums across samples.
-  const Duration diff = delay - it->second.delay;
-  const auto step =
-      static_cast<std::int64_t>(std::llround(alpha * static_cast<double>(diff.count_ns())));
-  it->second.delay += Duration::nanoseconds(step);
-  it->second.updated = now;
+void NeighborTable::update(NodeId neighbor, Duration delay, Time now) {
+  one_hop_[neighbor] = Entry{delay, now};
 }
 
 std::optional<Duration> NeighborTable::delay_to(NodeId neighbor) const {

@@ -32,12 +32,8 @@ class NeighborTable {
   /// of Table 2 imply.
   static constexpr std::uint32_t kBitsPerEntry = 48;
 
-  /// Refreshes `neighbor`'s one-hop delay. `alpha` is an EWMA smoothing
-  /// factor: the stored delay moves by `alpha * (delay - stored)`, in
-  /// exact integer nanoseconds so the result is order-of-evaluation and
-  /// platform independent. `alpha >= 1.0` (default) or a first
-  /// observation overwrites with the raw sample — legacy behavior.
-  void update(NodeId neighbor, Duration delay, Time now, double alpha = 1.0);
+  /// Refreshes `neighbor`'s one-hop delay with the latest sample (§4.3).
+  void update(NodeId neighbor, Duration delay, Time now);
 
   [[nodiscard]] std::optional<Duration> delay_to(NodeId neighbor) const;
 

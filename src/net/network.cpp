@@ -51,8 +51,7 @@ Network::Network(Simulator& sim, const ScenarioConfig& config)
   channel_->reserve(config_.node_count);
   AQUAMAC_LOG(config_.logger, LogLevel::kInfo)
       << "channel: interference cutoff " << channel_->interference_cutoff_m()
-      << " m, effective floor " << channel_->effective_interference_floor_db()
-      << " dB, spatial index " << (config_.channel.use_spatial_index ? "on" : "off");
+      << " m, effective floor " << channel_->effective_interference_floor_db() << " dB";
 
   // Slot sizing: tau_max is the max-range propagation delay (§4.1) unless
   // the caller overrode the MacConfig default.

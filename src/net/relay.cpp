@@ -220,7 +220,7 @@ void RelayAgent::on_backoff_fire(std::uint64_t e2e_id, std::uint64_t admission) 
   custody.in_backoff = false;
   std::optional<NodeId> hop = next_hop_(self_);
   bool failover = false;
-  if (rel_.failover && alt_next_hop_ && (!hop || *hop == custody.last_dst)) {
+  if (alt_next_hop_ && (!hop || *hop == custody.last_dst)) {
     // The routing layer still points at the hop that just failed (or at
     // nothing): ask it for the best alternative that avoids the failure.
     if (const auto alt = alt_next_hop_(self_, custody.last_dst);

@@ -52,10 +52,6 @@ struct ReliabilityConfig {
   /// then stretched by a seeded uniform [1, 1.5) jitter factor.
   Duration backoff_base{Duration::seconds(5)};
   Duration backoff_max{Duration::seconds(60)};
-  /// Consult the routing layer for an alternate neighbor (DV second-best
-  /// entry / filtered greedy candidate) when retrying toward the failed
-  /// hop again would be the only option.
-  bool failover{true};
 
   [[nodiscard]] bool enabled() const { return max_retries > 0; }
 };
@@ -140,7 +136,10 @@ class RelayAgent {
   void set_tree_hops(RouteHopsFn fn) { tree_hops_ = std::move(fn); }
   /// Currently advertised route length at a node (auditor bound).
   void set_advertised_hops(RouteHopsFn fn) { advertised_hops_ = std::move(fn); }
-  /// Failover route source; unset = no failover even when configured.
+  /// Failover route source: with the ARQ on, a retry whose routing-layer
+  /// hop is the one that just failed (or none) asks it for an alternate
+  /// neighbor (DV second-best entry / filtered greedy candidate). Unset =
+  /// no failover.
   void set_alt_next_hop(AltHopFn fn) { alt_next_hop_ = std::move(fn); }
   /// Seeded backoff jitter stream (Network forks 0xBACC00 + id); must be
   /// set before traffic when the reliability layer is enabled.

@@ -23,7 +23,6 @@ namespace {
 TEST(ScaleSmoke, Grid3dThousandNodesAuditsCleanWithIndexOn) {
   ScenarioConfig config = grid3d_scenario(1'000, /*seed=*/3);
   config.sim_time = Duration::seconds(15);
-  ASSERT_TRUE(config.channel.use_spatial_index);
 
   InvariantAuditor::Config audit = auditor_config_for(config);
   audit.hard_fail = true;
