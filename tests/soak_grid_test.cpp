@@ -2,7 +2,11 @@
 // (propagation, reception) combination on a mid-size network, verifying
 // that the full cross-product works, conserves, and reproduces. The grid
 // runs at 0.4 kbps; SoakGridLoaded adds one 2 kbps point per
-// paper-comparison protocol, where contention is heavy.
+// paper-comparison protocol, where contention is heavy. SoakGridWinnerRule
+// adds one EW-MAC point at 4 kbps, where two decodable RTSs often meet at
+// one CTS decision (the near/far slot coupling of arXiv 2210.14500), so
+// the §3.1 highest-priority winner rule shows in the digests: picking the
+// first RTS of the slot instead moves its row.
 //
 // Each point is also pinned by a per-protocol digest table
 // (tests/data/soak_golden.txt), one row per point:
@@ -121,6 +125,7 @@ class SoakSuite : public ::testing::TestWithParam<Param> {
 
 class SoakGrid : public SoakSuite<SoakPoint> {};
 class SoakGridLoaded : public SoakSuite<MacKind> {};
+class SoakGridWinnerRule : public SoakSuite<MacKind> {};
 
 /// Runs one point and checks it against its row of the digest table.
 void run_soak_point(const SoakPoint& point, double load_kbps) {
@@ -175,6 +180,10 @@ TEST_P(SoakGridLoaded, RunsConservesDelivers) {
   run_soak_point({GetParam(), PropagationKind::kStraightLine, ReceptionKind::kDeterministic}, 2.0);
 }
 
+TEST_P(SoakGridWinnerRule, RunsConservesDelivers) {
+  run_soak_point({GetParam(), PropagationKind::kStraightLine, ReceptionKind::kDeterministic}, 4.0);
+}
+
 std::vector<SoakPoint> grid() {
   std::vector<SoakPoint> points;
   for (MacKind mac : {MacKind::kEwMac, MacKind::kSFama, MacKind::kRopa, MacKind::kCsMac,
@@ -214,6 +223,9 @@ INSTANTIATE_TEST_SUITE_P(PaperSet, SoakGridLoaded, ::testing::ValuesIn(paper_com
                            }
                            return name + "_straight_det_2kbps";
                          });
+
+INSTANTIATE_TEST_SUITE_P(EwMac, SoakGridWinnerRule, ::testing::Values(MacKind::kEwMac),
+                         [](const auto&) { return std::string{"EW_MAC_straight_det_4kbps"}; });
 
 }  // namespace
 }  // namespace aquamac
